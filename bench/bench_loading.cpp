@@ -8,7 +8,8 @@
 // throughput gap without giving up the mapping.
 //
 // Besides the human-readable table, the report is emitted as
-// BENCH_loading.json so the perf trajectory is machine-trackable.
+// BENCH_loading.json so the perf trajectory is machine-trackable; the
+// per-document commit cost section writes BENCH_commit_cost.json.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -16,8 +17,10 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "baseline/inline_loader.hpp"
 #include "bench_util.hpp"
@@ -171,6 +174,81 @@ void print_report() {
     emit_json(records, "BENCH_loading.json");
     std::cout << "wrote BENCH_loading.json (" << records.size()
               << " records)\n\n";
+}
+
+// === per-document commit cost: serial loading as the tables grow ==========
+//
+// Each serial Loader::load is one committed load unit, and each commit
+// publishes an MVCC epoch (DESIGN.md §15).  With copy-on-write B+tree
+// indexes and append-without-copy row chunks, a commit copies
+// O(tree height) index nodes and no rows, so the per-document cost must
+// stay flat from 16 to 1024 documents; bulk x1 (one unit, deferred index
+// rebuild) is the floor serial loading is compared against.  Numbers come
+// from MvccStats, the counters a running database exposes.
+void print_commit_cost_report() {
+    std::cout << "=== per-document commit cost: serial loader, one unit per "
+                 "document ===\n";
+    TablePrinter table({"corpus", "serial ms/doc", "last 16 ms/doc",
+                        "bulk x1 ms/doc", "serial / bulk", "index nodes/commit",
+                        "chunks/commit"});
+    std::ofstream json("BENCH_commit_cost.json");
+    json << "[\n";
+    const std::size_t sizes[] = {16, 256, 1024};
+    for (std::size_t docs : sizes) {
+        bench::Corpus corpus = bench::Corpus::bibliography(docs, 400);
+        loader::LoadOptions options;
+        options.validate = false;
+
+        bench::Stack stack(gen::paper_dtd());
+        rdb::MvccStats m0 = stack.db.mvcc_stats();
+        std::vector<double> per_doc;
+        per_doc.reserve(docs);
+        for (auto& doc : corpus.docs) {
+            auto t0 = Clock::now();
+            stack.loader->load(*doc, options);
+            per_doc.push_back(seconds_since(t0) * 1e3);
+        }
+        rdb::MvccStats m1 = stack.db.mvcc_stats();
+        double serial_ms = 0;
+        for (double ms : per_doc) serial_ms += ms;
+        double last16_ms = 0;
+        for (std::size_t i = docs - 16; i < docs; ++i) last16_ms += per_doc[i];
+
+        bench::Stack bulk_stack(gen::paper_dtd());
+        loader::BulkLoader bulk(bulk_stack.logical, bulk_stack.mapping,
+                                bulk_stack.schema, bulk_stack.db);
+        loader::BulkLoadOptions bulk_options;
+        bulk_options.jobs = 1;
+        bulk_options.validate = false;
+        std::vector<xml::Document*> views;
+        for (auto& doc : corpus.docs) views.push_back(doc.get());
+        auto t0 = Clock::now();
+        (void)bulk.load_corpus(views, bulk_options);
+        double bulk_ms = seconds_since(t0) * 1e3;
+
+        double n = static_cast<double>(docs);
+        double nodes = static_cast<double>(m1.indexes_cowed - m0.indexes_cowed) / n;
+        double chunks = static_cast<double>(m1.chunks_cowed - m0.chunks_cowed) / n;
+        table.add_row({std::to_string(docs) + " docs",
+                       format_double(serial_ms / n, 3),
+                       format_double(last16_ms / 16.0, 3),
+                       format_double(bulk_ms / n, 3),
+                       format_double(serial_ms / bulk_ms, 2),
+                       format_double(nodes, 1), format_double(chunks, 2)});
+        json << "  {\"corpus_docs\": " << docs
+             << ", \"serial_ms_per_doc\": " << serial_ms / n
+             << ", \"serial_last16_ms_per_doc\": " << last16_ms / 16.0
+             << ", \"bulk_x1_ms_per_doc\": " << bulk_ms / n
+             << ", \"serial_over_bulk_x1\": " << serial_ms / bulk_ms
+             << ", \"index_nodes_cowed_per_commit\": " << nodes
+             << ", \"chunks_cowed_per_commit\": " << chunks << "}"
+             << (docs != sizes[std::size(sizes) - 1] ? "," : "") << "\n";
+    }
+    json << "]\n";
+    std::cout << table.to_string()
+              << "flat: 'last 16 ms/doc' at 1024 docs within 2x of 16 docs; "
+                 "serial within 2x of bulk x1\n"
+              << "wrote BENCH_commit_cost.json\n\n";
 }
 
 /// Self-deleting scratch directory for the durability measurements.
@@ -462,6 +540,7 @@ BENCHMARK(BM_XmlParse);
 
 int main(int argc, char** argv) {
     print_report();
+    print_commit_cost_report();
     print_durability_report();
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();

@@ -4,9 +4,10 @@
 # ASan lane (default): the bulk-load pipeline, the fault-injection matrix,
 # the durability layer (snapshots, WAL, crash recovery), the integrity
 # checker and corruption fuzzers, the structural-index tests, the
-# overload/cancellation lifecycle, and a short torture campaign — every
-# code path that handles torn/corrupt input, label arithmetic, or
-# mid-query unwinding.  The full suite under ASan is slow; these labels
+# overload/cancellation lifecycle, the MiniRDB unit tests (the
+# copy-on-write B+tree's node splits, path copies and lazy deletes) and
+# a short torture campaign — every code path that handles torn/corrupt
+# input, label arithmetic, shared index nodes, or mid-query unwinding.  The full suite under ASan is slow; these labels
 # are where the sanitizer earns its keep.
 #
 # TSan lane (`thread`): the differential query fuzzer, the concurrent
@@ -21,9 +22,10 @@
 #
 # UBSan lane (`undefined`): the planner's selectivity/cost arithmetic
 # (double math over row counts, bitmask subset walks), the structural
-# interval label arithmetic, the query fuzzer and the integrity checker
-# (which sums attacker-controlled label spans) — the code where a
-# silent overflow would skew a plan rather than crash.
+# interval label arithmetic, the query fuzzer, the integrity checker
+# (which sums attacker-controlled label spans) and the MiniRDB unit
+# tests (B+tree split/rank index arithmetic) — the code where a silent
+# overflow would skew a plan or an index rather than crash.
 #
 # Both ASan and TSan lanes also carry the planner label: statistics are
 # folded on the commit path and read by concurrent planning threads.
@@ -38,7 +40,7 @@ LANE=${1:-address}
 case "$LANE" in
   address)
     BUILD_DIR=${2:-build-asan}
-    LABELS='bulk|fault|durability|integrity|index|overload|planner|mvcc|torture'
+    LABELS='bulk|fault|durability|integrity|index|overload|planner|mvcc|torture|rdb'
     # Keep the sanitized torture leg short; scripts/torture.sh owns the
     # long campaign on the plain build.
     XMLREL_TORTURE_ITERS=${XMLREL_TORTURE_ITERS:-10}
@@ -50,7 +52,7 @@ case "$LANE" in
     ;;
   undefined)
     BUILD_DIR=${2:-build-ubsan}
-    LABELS='planner|index|query|integrity|mvcc'
+    LABELS='planner|index|query|integrity|mvcc|rdb'
     ;;
   *)
     echo "usage: $0 [address|thread|undefined] [build-dir]" >&2

@@ -2,9 +2,10 @@
 //
 // Every durable artifact — snapshot sections, WAL record frames — carries
 // a CRC32 of its payload so recovery can tell a torn or corrupted tail
-// from valid data.  The implementation is the standard table-driven
-// byte-at-a-time variant: fast enough that checksumming is never the
-// bottleneck next to the write() it protects, with no external deps.
+// from valid data.  The implementation is table-driven slicing-by-8
+// (eight bytes per step, byte-at-a-time for the tail): the same values
+// as the classic bytewise loop, several times faster on the multi-MB
+// snapshot images each checkpoint writes and verifies.
 #pragma once
 
 #include <cstddef>

@@ -116,6 +116,7 @@ Database& Database::operator=(Database&& other) noexcept {
 }
 
 void Database::publish_version() {
+    if (scratch_) return;
     auto version = std::make_shared<DatabaseVersion>();
     version->watermark_ = commit_watermark_.load(std::memory_order_relaxed);
     version->stats_epoch_ = stats_epoch_.load(std::memory_order_relaxed);
@@ -126,14 +127,18 @@ void Database::publish_version() {
         version->tables_.push_back(t->publish());
     }
     std::shared_ptr<const DatabaseVersion> frozen = std::move(version);
-    std::lock_guard<std::mutex> guard(version_mu_);
-    published_ = frozen;
-    ++versions_published_;
-    version_registry_.erase(
-        std::remove_if(version_registry_.begin(), version_registry_.end(),
-                       [](const auto& w) { return w.expired(); }),
-        version_registry_.end());
-    version_registry_.push_back(frozen);
+    {
+        std::lock_guard<std::mutex> guard(version_mu_);
+        published_.swap(frozen);
+        ++versions_published_;
+        version_registry_.erase(
+            std::remove_if(version_registry_.begin(), version_registry_.end(),
+                           [](const auto& w) { return w.expired(); }),
+            version_registry_.end());
+        version_registry_.push_back(published_);
+    }
+    // `frozen` now holds the previous epoch; when no snapshot pins it, it
+    // retires here, outside the version mutex readers pin through.
 }
 
 MvccStats Database::mvcc_stats() const {
@@ -207,6 +212,15 @@ RecoveryReport Database::open(const std::string& dir,
         throw SchemaError("Database::open requires a fresh, empty database");
     fs::create_directories(dir);
 
+    // Nothing recovery builds is visible to readers until the single
+    // publication at the end: scratch databases and this one skip every
+    // intermediate publication (each replayed commit and DDL record).
+    scratch_ = true;
+    struct EndScratch {
+        bool& flag;
+        ~EndScratch() { flag = false; }
+    } end_scratch{scratch_};
+
     RecoveryReport report;
     report.dir = dir;
     const bool salvage = opts.recovery == RecoveryMode::kSalvage;
@@ -229,6 +243,7 @@ RecoveryReport Database::open(const std::string& dir,
     // Recover into a scratch database so a failure midway never leaves
     // *this half-populated.
     Database scratch;
+    scratch.scratch_ = true;
 
     // Newest snapshot whose checksums verify wins; corrupt ones are
     // skipped, falling back to an older image plus a longer replay.
@@ -237,6 +252,7 @@ RecoveryReport Database::open(const std::string& dir,
     for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
         std::string path = snapshot_file(dir, *it);
         Database candidate;
+        candidate.scratch_ = true;
         try {
             // Qualified: the unqualified name resolves to the
             // Database::read_snapshot() member in this scope.
@@ -261,6 +277,7 @@ RecoveryReport Database::open(const std::string& dir,
             for (auto it = snaps.rbegin(); it != snaps.rend(); ++it) {
                 std::string path = snapshot_file(dir, *it);
                 Database candidate;
+                candidate.scratch_ = true;
                 SalvageReport trial;
                 try {
                     read_snapshot_salvage(path, candidate, trial);
@@ -371,6 +388,7 @@ RecoveryReport Database::open(const std::string& dir,
     }
     // Recovery is complete: publish the recovered state as the first
     // epoch, so snapshots opened from here on read it latch-free.
+    scratch_ = false;
     publish_version();
     return report;
 }
@@ -399,6 +417,7 @@ SnapshotStats Database::checkpoint() {
         try {
             fault::maybe_fail("snapshot.verify");
             Database check;
+            check.scratch_ = true;
             xr::rdb::read_snapshot(snap_path, check);
             if (check.tables_.size() != tables_.size())
                 throw CorruptionError(
@@ -522,6 +541,18 @@ void Database::commit_unit() {
     // caller's rollback leaves both sides at the pre-unit state.
     if (wal_ != nullptr) wal_->log_commit_unit(/*outermost=*/unit_depth_ == 1);
     for (auto& t : tables_) t->commit_unit();
+    // Tables dropped in this unit: gone for good at the outermost commit,
+    // else their frame folds into the parent unit like any table's.
+    for (std::size_t i = dropped_.size(); i-- > 0;) {
+        DroppedTable& d = dropped_[i];
+        if (d.depth != unit_depth_) continue;
+        if (unit_depth_ == 1) {
+            dropped_.erase(dropped_.begin() + static_cast<std::ptrdiff_t>(i));
+        } else {
+            d.table->commit_unit();
+            --d.depth;
+        }
+    }
     --unit_depth_;
     if (unit_depth_ == 0) {
         // Fold statistics over the rows this unit appended — O(new rows),
@@ -548,6 +579,22 @@ void Database::rollback_unit() {
     if (unit_depth_ == 0)
         throw SchemaError("rollback_unit without an open load unit");
     for (auto& t : tables_) t->rollback_unit();
+    // Re-install tables dropped in this unit, newest drop first, each
+    // replacing a same-named table created after it.
+    for (std::size_t i = dropped_.size(); i-- > 0;) {
+        if (dropped_[i].depth != unit_depth_) continue;
+        DroppedTable d = std::move(dropped_[i]);
+        dropped_.erase(dropped_.begin() + static_cast<std::ptrdiff_t>(i));
+        d.table->rollback_unit();
+        tables_.erase(std::remove_if(tables_.begin(), tables_.end(),
+                                     [&](const auto& t) {
+                                         return t->name() == d.table->name();
+                                     }),
+                      tables_.end());
+        tables_.insert(tables_.begin() + static_cast<std::ptrdiff_t>(std::min(
+                                             d.position, tables_.size())),
+                       std::move(d.table));
+    }
     --unit_depth_;
     bulk_ = false;  // an interrupted merge leaves no bracket behind
     if (wal_ != nullptr) wal_->log_rollback_unit();
@@ -567,15 +614,21 @@ void Database::end_bulk() {
 }
 
 void Database::drop_table(std::string_view name) {
-    if (unit_depth_ > 0)
-        throw SchemaError("cannot drop '" + std::string(name) +
-                          "' while a load unit is open");
-    std::lock_guard<std::mutex> guard(writer_mu_);
+    std::unique_lock<std::mutex> guard(writer_mu_, std::defer_lock);
+    if (unit_depth_ == 0) guard.lock();
     auto it = std::find_if(tables_.begin(), tables_.end(),
                            [&](const auto& t) { return t->name() == name; });
     if (it == tables_.end())
         throw SchemaError("no table '" + std::string(name) + "' to drop");
     if (wal_ != nullptr) wal_->log_drop_table(name);
+    if (unit_depth_ > 0) {
+        // Kept aside until the unit resolves; rollback re-installs it.
+        dropped_.push_back({unit_depth_,
+                            static_cast<std::size_t>(it - tables_.begin()),
+                            std::move(*it)});
+        tables_.erase(it);
+        return;
+    }
     tables_.erase(it);
     commit_watermark_.fetch_add(1, std::memory_order_release);
     publish_version();
@@ -690,11 +743,14 @@ AnalyzeReport Database::analyze() {
     if (unit_depth_ != 0)
         throw SchemaError("cannot analyze while a load unit is open");
     AnalyzeReport report;
-    {
-        // Rebuilds mutate per-table statistics; hold the writer mutex
-        // like depth-0 DDL.  Planner threads reading through pinned
-        // epochs see those epochs' statistics copies, untouched.
-        std::lock_guard<std::mutex> guard(writer_mu_);
+    // One committed unit rebuilds the statistics and replaces the catalog
+    // (drop + re-create + fill), so analyze() publishes exactly one epoch
+    // and a crash before the commit frame recovers the previous catalog.
+    // The steps log to the WAL like any unit, so a recovered database
+    // replays its way back to the same catalog rows.  Planner threads
+    // reading through pinned epochs see those epochs' statistics copies.
+    begin_unit();
+    try {
         for (auto& t : tables_) {
             if (t->name() == kStatsTable) continue;
             t->rebuild_stats();
@@ -702,27 +758,20 @@ AnalyzeReport Database::analyze() {
             report.columns += t->stats().columns.size();
             report.rows += t->stats().rows;
         }
-    }
-    report.epoch = stats_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
+        report.epoch = stats_epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
 
-    // Persist to the catalog: drop + re-create + fill under one committed
-    // unit.  Each step takes the writer mutex itself and logs to the WAL,
-    // so a recovered database replays its way back to the same catalog
-    // rows; the commit publishes the rebuilt statistics as a new epoch.
-    if (table(kStatsTable) != nullptr) drop_table(kStatsTable);
-    TableDef def;
-    def.name = std::string(kStatsTable);
-    def.columns = {{"tbl", ValueType::kText, true, false},
-                   {"col", ValueType::kText, true, false},
-                   {"row_count", ValueType::kInteger, true, false},
-                   {"ndv", ValueType::kInteger, true, false},
-                   {"nulls", ValueType::kInteger, true, false},
-                   {"min_v", ValueType::kText, false, false},
-                   {"max_v", ValueType::kText, false, false},
-                   {"epoch", ValueType::kInteger, true, false}};
-    Table& cat = create_table(std::move(def));
-    begin_unit();
-    try {
+        if (table(kStatsTable) != nullptr) drop_table(kStatsTable);
+        TableDef def;
+        def.name = std::string(kStatsTable);
+        def.columns = {{"tbl", ValueType::kText, true, false},
+                       {"col", ValueType::kText, true, false},
+                       {"row_count", ValueType::kInteger, true, false},
+                       {"ndv", ValueType::kInteger, true, false},
+                       {"nulls", ValueType::kInteger, true, false},
+                       {"min_v", ValueType::kText, false, false},
+                       {"max_v", ValueType::kText, false, false},
+                       {"epoch", ValueType::kInteger, true, false}};
+        Table& cat = create_table(std::move(def));
         for (auto& t : tables_) {
             if (t->name() == kStatsTable) continue;
             const TableStats& s = t->stats();
@@ -744,11 +793,11 @@ AnalyzeReport Database::analyze() {
                 cat.insert(std::move(row));
             }
         }
+        commit_unit();  // a failed commit frame leaves the unit open
     } catch (...) {
         rollback_unit();
         throw;
     }
-    commit_unit();
     report.persisted = durable();
     return report;
 }

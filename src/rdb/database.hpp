@@ -235,7 +235,9 @@ struct MvccStats {
     std::uint64_t versions_retired = 0;    ///< published and since freed
     std::uint64_t tables_republished = 0;  ///< frozen table clones cut
     std::uint64_t chunks_cowed = 0;        ///< row chunks copied on write
-    std::uint64_t indexes_cowed = 0;       ///< index containers copied on write
+    /// Index B+tree nodes copied on write (primary-key and secondary):
+    /// O(tree height) per index a commit touches, not per index entry.
+    std::uint64_t indexes_cowed = 0;
     [[nodiscard]] std::string to_string() const;
 };
 
@@ -261,7 +263,8 @@ public:
     /// corrupt).  With RecoveryMode::kSalvage, damage is skipped and
     /// repaired instead: broken documents are quarantined and purged,
     /// the result is checkpointed, and RecoveryReport::salvage accounts
-    /// every drop.
+    /// every drop.  Replay publishes nothing; the recovered state becomes
+    /// the first epoch in one publication at the end.
     RecoveryReport open(const std::string& dir,
                         const DurabilityOptions& opts = {});
 
@@ -298,6 +301,10 @@ public:
     [[nodiscard]] std::uint64_t wal_bytes_appended() const;
 
     Table& create_table(TableDef def);
+    /// Drop a table.  Inside a load unit the drop is undoable: the table
+    /// is kept aside until the outermost commit frees it, and a rollback
+    /// of the dropping unit re-installs it — replacing (and invalidating
+    /// pointers to) a same-named table created after the drop.
     void drop_table(std::string_view name);
 
     [[nodiscard]] Table* table(std::string_view name);
@@ -321,9 +328,11 @@ public:
     /// Rebuild every table's statistics from scratch (fresh sketches, so
     /// NDV estimates reflect current contents, not incremental history),
     /// bump the statistics epoch, and persist the results to the
-    /// `xrel_stats` catalog table — dropped and re-created under its own
-    /// committed unit, so the snapshot/WAL machinery carries statistics
-    /// across restarts like any other rows.  Requires no open load unit.
+    /// `xrel_stats` catalog table — dropped, re-created and filled inside
+    /// one committed unit, so analyze() publishes exactly one epoch, a
+    /// crash mid-way recovers the previous catalog, and the snapshot/WAL
+    /// machinery carries statistics across restarts like any other rows.
+    /// Requires no open load unit.
     AnalyzeReport analyze();
 
     /// Monotonic epoch for plan invalidation: bumped by analyze() and by
@@ -382,7 +391,7 @@ public:
     }
 
     /// MVCC observability: epochs published/live/retired, frozen table
-    /// clones cut, chunks and index containers copied on write.
+    /// clones cut, chunks and index nodes copied on write.
     [[nodiscard]] MvccStats mvcc_stats() const;
 
     /// Records appended to the active WAL segment (the durable LSN); 0
@@ -398,6 +407,18 @@ private:
     std::vector<ForeignKeyDef> fks_;
     bool bulk_ = false;
     std::size_t unit_depth_ = 0;
+    /// A recovery or verification scratch database, or this one while
+    /// open() recovers: no reader can see it, so publish_version() is a
+    /// no-op and open() publishes once at the end.
+    bool scratch_ = false;
+
+    /// Tables dropped inside an open unit, until it resolves.
+    struct DroppedTable {
+        std::size_t depth = 0;     ///< unit depth of the drop
+        std::size_t position = 0;  ///< index in tables_ it left
+        std::unique_ptr<Table> table;
+    };
+    std::vector<DroppedTable> dropped_;
 
     // -- concurrency state (DESIGN.md §9/§15) --------------------------------
     // Writer mutex: serializes the outermost load unit, checkpoint() and
@@ -419,8 +440,8 @@ private:
     /// Freeze the live tables into a new DatabaseVersion and swap it in
     /// as the current epoch.  Writer-side only, at publication points:
     /// outermost commit, depth-0 DDL, end of open().  O(#tables) plus
-    /// O(#chunks) for tables that changed; unchanged tables reuse their
-    /// cached frozen clone.
+    /// O(#chunks + #indexes) for tables that changed; unchanged tables
+    /// reuse their cached frozen clone.  Skipped on scratch databases.
     void publish_version();
 
     /// Recovery tail: install persisted statistics from xrel_stats where

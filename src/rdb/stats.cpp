@@ -1,5 +1,7 @@
 #include "rdb/stats.hpp"
 
+#include <algorithm>
+
 namespace xr::rdb {
 
 namespace {
@@ -18,20 +20,19 @@ std::uint64_t mix64(std::uint64_t x) {
 
 void NdvSketch::add(const Value& v) {
     std::uint64_t h = mix64(static_cast<std::uint64_t>(v.hash()));
-    if (mins_.size() < k_) {
-        mins_.insert(h);
-        return;
-    }
-    auto last = std::prev(mins_.end());
-    if (h >= *last) return;  // not among the k smallest
-    if (mins_.insert(h).second) mins_.erase(std::prev(mins_.end()));
+    bool full = mins_.size() >= k_;
+    if (full && h >= mins_.back()) return;  // not among the k smallest
+    auto pos = std::lower_bound(mins_.begin(), mins_.end(), h);
+    if (pos != mins_.end() && *pos == h) return;  // already counted
+    mins_.insert(pos, h);
+    if (full) mins_.pop_back();
 }
 
 std::uint64_t NdvSketch::estimate() const {
     if (mins_.size() < k_) return mins_.size();  // exact below capacity
     // The k-th minimum of n uniform draws over [0, 2^64) sits near
     // k/n · 2^64, so n ≈ (k-1) · 2^64 / kth_min (the -1 debiases).
-    double kth = static_cast<double>(*mins_.rbegin());
+    double kth = static_cast<double>(mins_.back());
     if (kth <= 0.0) return mins_.size();
     double est = (static_cast<double>(k_) - 1.0) * 18446744073709551616.0 / kth;
     return est < 1.0 ? 1 : static_cast<std::uint64_t>(est);

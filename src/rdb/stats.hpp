@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <set>
 #include <vector>
 
 #include "rdb/value.hpp"
@@ -27,8 +26,9 @@ namespace xr::rdb {
 /// KMV distinct-count sketch: keep the k smallest of the 64-bit hashes
 /// seen; with fewer than k entries the count is exact, beyond that the
 /// k-th minimum estimates the hash-space density (ndv ≈ (k-1)/kth_min).
-/// O(log k) per add, O(k) memory, mergeable by re-adding — small enough
-/// to fold on every commit.
+/// The minima live in one sorted vector: O(log k) to reject a hash,
+/// O(k) word moves to admit one, O(k) memory in a single block — so a
+/// frozen table version copies each column's sketch with one memcpy.
 class NdvSketch {
 public:
     static constexpr std::size_t kDefaultK = 256;
@@ -42,7 +42,7 @@ public:
 
 private:
     std::size_t k_;
-    std::set<std::uint64_t> mins_;  ///< the k smallest hashes, distinct
+    std::vector<std::uint64_t> mins_;  ///< the k smallest hashes, ascending, distinct
 };
 
 struct ColumnStats {

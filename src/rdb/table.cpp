@@ -21,11 +21,11 @@ const ColumnDef* TableDef::column(std::string_view name) const {
 
 // -- RowStore ----------------------------------------------------------------
 
-void RowStore::own(Slot& s, std::size_t keep) {
+void RowStore::own(std::size_t c) {
+    Slot& s = slots_[c];
     auto copy = std::make_shared<Chunk>();
-    copy->rows.reserve(kChunkRows);
-    copy->rows.insert(copy->rows.end(), s.chunk->rows.begin(),
-                      s.chunk->rows.begin() + static_cast<std::ptrdiff_t>(keep));
+    std::size_t live = std::min(kChunkRows, size_ - (c << kChunkShift));
+    std::copy_n(s.chunk->rows.begin(), live, copy->rows.begin());
     s.chunk = std::move(copy);
     s.owned = true;
     ++chunks_cowed_;
@@ -33,19 +33,22 @@ void RowStore::own(Slot& s, std::size_t keep) {
 
 void RowStore::truncate(std::size_t n) {
     if (n >= size_) return;
-    if (n == 0) {
-        slots_.clear();
-        size_ = 0;
-        return;
-    }
-    slots_.resize((n + kChunkRows - 1) >> kChunkShift);
-    std::size_t tail = ((n - 1) & kChunkMask) + 1;
-    Slot& s = slots_.back();
-    if (s.chunk->rows.size() != tail) {
-        if (!s.owned) own(s, tail);
-        else s.chunk->rows.resize(tail);
+    std::size_t chunks = (n + kChunkRows - 1) >> kChunkShift;
+    slots_.resize(chunks);
+    if (chunks > 0) {
+        // Clear the cut rows of the tail chunk.  A published version may
+        // still read them only when the cut goes below the last publish;
+        // then the tail chunk is cloned first.
+        std::size_t base = (chunks - 1) << kChunkShift;
+        std::size_t end = std::min(kChunkRows, size_ - base);
+        if (n - base < end) {
+            Slot& s = slots_.back();
+            if (!s.owned && n < shared_) own(chunks - 1);
+            for (std::size_t r = n - base; r < end; ++r) s.chunk->rows[r] = Row();
+        }
     }
     size_ = n;
+    shared_ = std::min(shared_, n);
 }
 
 RowStore RowStore::publish() {
@@ -56,6 +59,8 @@ RowStore RowStore::publish() {
         out.slots_.push_back(Slot{s.chunk, false});
     }
     out.size_ = size_;
+    out.shared_ = size_;
+    shared_ = size_;
     return out;
 }
 
@@ -83,15 +88,10 @@ Table::Table(FrozenTag, Table& live) : def_(live.def_) {
     frozen_ = true;
     dirty_ = false;
     store_ = live.store_.publish();
-    live.pk_owned_ = false;
-    pk_index_ = live.pk_index_;
-    pk_owned_ = false;
+    pk_index_ = live.pk_index_.publish();
     indexes_.reserve(live.indexes_.size());
-    for (SecondaryIndex& idx : live.indexes_) {
-        idx.owned = false;
-        indexes_.push_back(
-            SecondaryIndex{idx.column, idx.kind, idx.hash, idx.ordered, false});
-    }
+    for (SecondaryIndex& idx : live.indexes_)
+        indexes_.push_back(SecondaryIndex{idx.column, idx.kind, idx.tree.publish()});
     stats_ = live.stats_;
 }
 
@@ -102,30 +102,10 @@ std::shared_ptr<const Table> Table::publish() {
     return last_published_;
 }
 
-Table::PkIndex& Table::own_pk() {
-    if (!pk_owned_) {
-        pk_index_ = std::make_shared<PkIndex>(*pk_index_);
-        pk_owned_ = true;
-        ++index_cows_;
-    }
-    return *pk_index_;
-}
-
-Table::HashIndexMap& Table::own_hash(SecondaryIndex& idx, bool preserve) {
-    if (!idx.owned) {
-        idx.hash = preserve ? std::make_shared<HashIndexMap>(*idx.hash)
-                            : std::make_shared<HashIndexMap>();
-        idx.ordered = preserve ? std::make_shared<OrderedIndexMap>(*idx.ordered)
-                               : std::make_shared<OrderedIndexMap>();
-        idx.owned = true;
-        ++index_cows_;
-    }
-    return *idx.hash;
-}
-
-Table::OrderedIndexMap& Table::own_ordered(SecondaryIndex& idx, bool preserve) {
-    own_hash(idx, preserve);
-    return *idx.ordered;
+std::uint64_t Table::indexes_cowed() const {
+    std::uint64_t n = pk_index_.nodes_cowed();
+    for (const SecondaryIndex& idx : indexes_) n += idx.tree.nodes_cowed();
+    return n;
 }
 
 void Table::validate(const Row& row) const {
@@ -174,7 +154,6 @@ std::size_t Table::insert_batch(std::vector<Row> rows, bool validate_rows) {
     // rows from a trusted loading plan skip the per-row cell checks.
     validate(rows.front());
     reserve_rows(rows.size());
-    if (pk_column_ >= 0) own_pk().reserve(pk_index_->size() + rows.size());
     for (auto& row : rows) do_insert(std::move(row), validate_rows);
     return rows.size();
 }
@@ -193,19 +172,17 @@ std::int64_t Table::do_insert(Row&& row, bool validate_row) {
     }
 
     std::int64_t pk = static_cast<std::int64_t>(store_.size());
-    if (pk_column_ >= 0) pk = row[pk_column_].as_integer();
-
     auto id = static_cast<RowId>(store_.size());
-    dirty_ = true;
-    store_.push_back(std::move(row));
     if (pk_column_ >= 0) {
-        if (!own_pk().emplace(pk, id).second) {
-            store_.pop_back();
+        pk = row[pk_column_].as_integer();
+        if (pk_index_.find(pk))
             throw SchemaError("duplicate primary key " + std::to_string(pk) +
                               " in '" + def_.name + "'");
-        }
+        pk_index_.insert(pk, id);
         bump_next_pk(pk);
     }
+    dirty_ = true;
+    store_.push_back(std::move(row));
     if (!bulk_) index_row(id);
     if (log_ != nullptr) log_->log_insert(*this, store_[id]);
     return pk;
@@ -248,34 +225,45 @@ void Table::rollback_unit() {
     units_.pop_back();
     bool changed =
         store_.size() > frame.rows || undo_.size() > frame.undo_size;
+    // In bulk mode the secondary indexes may be partial (deferred, or an
+    // interrupted rebuild); they are rebuilt whole below.  Otherwise they
+    // are exact, and each undone change is undone in them too.
+    const bool was_bulk = bulk_;
 
-    // Undo cell updates newest-first with raw writes; index consistency is
-    // restored by the rebuild below.
+    // Undo cell updates newest-first.
     for (std::size_t i = undo_.size(); i-- > frame.undo_size;) {
         UndoCell& cell = undo_[i];
-        store_.mut(cell.row)[cell.column] = std::move(cell.old_value);
+        Value& cur = store_.mut(cell.row)[cell.column];
+        if (!was_bulk) {
+            for (SecondaryIndex& idx : indexes_) {
+                if (idx.column != cell.column) continue;
+                idx.tree.erase(cur, cell.row);
+                idx.tree.insert(cell.old_value, cell.row);
+            }
+        }
+        cur = std::move(cell.old_value);
     }
     undo_.resize(frame.undo_size);
 
-    // Truncate appended rows, keeping the primary-key index exact.
-    if (store_.size() > frame.rows) {
-        if (pk_column_ >= 0) {
-            PkIndex& pk = own_pk();
-            for (std::size_t id = store_.size(); id-- > frame.rows;)
-                pk.erase(store_[id][pk_column_].as_integer());
-        }
-        store_.truncate(frame.rows);
+    // Truncate appended rows and their index entries.  None of them was
+    // published (publication happens between outermost units only).
+    for (std::size_t id = store_.size(); id-- > frame.rows;) {
+        const Row& row = store_[id];
+        if (pk_column_ >= 0)
+            pk_index_.erase(row[pk_column_].as_integer(), static_cast<RowId>(id));
+        if (!was_bulk)
+            for (SecondaryIndex& idx : indexes_)
+                idx.tree.erase(row[idx.column], static_cast<RowId>(id));
     }
+    store_.truncate(frame.rows);
 
     // Reclaim keys reserved since the watermark.  Safe because the unit
     // contract joins all reserving workers before rollback.
     next_pk_.store(frame.next_pk, std::memory_order_relaxed);
 
-    // Leave the table out of bulk mode with consistent secondary indexes,
-    // whatever state an interrupted merge or rebuild left them in.
-    bool was_bulk = bulk_;
+    // Leave the table out of bulk mode with consistent secondary indexes.
     bulk_ = false;
-    if (changed || was_bulk) rebuild_indexes();
+    if (was_bulk) rebuild_indexes();
     if (changed || was_bulk) dirty_ = true;
 
     // Rows the statistics already covered may be gone (or their cells
@@ -283,21 +271,16 @@ void Table::rollback_unit() {
     if (changed && stats_.rows > store_.size()) stats_.stale = true;
 }
 
+void Table::build_index(SecondaryIndex& idx) {
+    std::vector<ValueIndex::Entry> entries;
+    entries.reserve(store_.size());
+    for (RowId id = 0; id < store_.size(); ++id)
+        entries.push_back({store_[id][idx.column], id});
+    idx.tree.build(std::move(entries));
+}
+
 void Table::rebuild_indexes() {
-    for (auto& idx : indexes_) {
-        // About to repopulate from scratch: a shared container is simply
-        // replaced with a fresh empty one instead of deep-copied first.
-        HashIndexMap& hash = own_hash(idx, /*preserve=*/false);
-        OrderedIndexMap& ordered = *idx.ordered;
-        hash.clear();
-        ordered.clear();
-        if (idx.kind == IndexKind::kHash) hash.reserve(store_.size());
-        for (RowId id = 0; id < store_.size(); ++id) {
-            const Value& v = store_[id][idx.column];
-            if (idx.kind == IndexKind::kHash) hash.emplace(v, id);
-            else ordered.emplace(v, id);
-        }
-    }
+    for (SecondaryIndex& idx : indexes_) build_index(idx);
     if (!indexes_.empty()) dirty_ = true;
 }
 
@@ -320,9 +303,7 @@ std::optional<RowId> Table::find_pk_rowid(std::int64_t pk) const {
             return static_cast<RowId>(pk);
         return std::nullopt;
     }
-    auto it = pk_index_->find(pk);
-    if (it == pk_index_->end()) return std::nullopt;
-    return it->second;
+    return pk_index_.find(pk);
 }
 
 void Table::update(RowId id, std::string_view column, Value value) {
@@ -334,30 +315,10 @@ void Table::update(RowId id, std::string_view column, Value value) {
         throw SchemaError("cannot update primary key column");
     if (!units_.empty()) undo_.push_back({id, i, store_[id][i]});
     dirty_ = true;
-    for (auto& idx : indexes_) {
+    for (SecondaryIndex& idx : indexes_) {
         if (idx.column != i) continue;
-        const Value& old = store_[id][i];
-        if (idx.kind == IndexKind::kHash) {
-            HashIndexMap& hash = own_hash(idx, /*preserve=*/true);
-            auto range = hash.equal_range(old);
-            for (auto it = range.first; it != range.second; ++it) {
-                if (it->second == id) {
-                    hash.erase(it);
-                    break;
-                }
-            }
-            hash.emplace(value, id);
-        } else {
-            OrderedIndexMap& ordered = own_ordered(idx, /*preserve=*/true);
-            auto range = ordered.equal_range(old);
-            for (auto it = range.first; it != range.second; ++it) {
-                if (it->second == id) {
-                    ordered.erase(it);
-                    break;
-                }
-            }
-            ordered.emplace(value, id);
-        }
+        idx.tree.erase(store_[id][i], id);
+        idx.tree.insert(value, id);
     }
     store_.mut(id)[i] = std::move(value);
     if (log_ != nullptr) log_->log_update(*this, id, i, store_[id][i]);
@@ -383,16 +344,12 @@ std::size_t Table::delete_where(std::string_view column, const Value& value) {
     dirty_ = true;
 
     // Row ids shifted: rebuild the pk index and every secondary index.
-    if (!pk_owned_) {
-        pk_index_ = std::make_shared<PkIndex>();
-        pk_owned_ = true;
-        ++index_cows_;
-    } else {
-        pk_index_->clear();
-    }
     if (pk_column_ >= 0) {
+        std::vector<KeyIndex::Entry> entries;
+        entries.reserve(store_.size());
         for (RowId id = 0; id < store_.size(); ++id)
-            pk_index_->emplace(store_[id][pk_column_].as_integer(), id);
+            entries.push_back({store_[id][pk_column_].as_integer(), id});
+        pk_index_.build(std::move(entries));
     }
     rebuild_indexes();
     stats_.stale = true;  // compaction: folded rows may be gone
@@ -450,12 +407,7 @@ void Table::create_index(std::string_view column, IndexKind kind) {
     SecondaryIndex idx;
     idx.column = i;
     idx.kind = kind;
-    idx.hash = std::make_shared<HashIndexMap>();
-    idx.ordered = std::make_shared<OrderedIndexMap>();
-    for (RowId id = 0; id < store_.size(); ++id) {
-        if (kind == IndexKind::kHash) idx.hash->emplace(store_[id][i], id);
-        else idx.ordered->emplace(store_[id][i], id);
-    }
+    build_index(idx);
     indexes_.push_back(std::move(idx));
     dirty_ = true;
     if (log_ != nullptr) log_->log_create_index(*this, column, kind);
@@ -471,19 +423,17 @@ bool Table::has_index(std::string_view column) const {
 std::vector<RowId> Table::index_lookup(std::string_view column,
                                        const Value& value) const {
     int i = def_.column_index(column);
-    for (const auto& idx : indexes_) {
+    for (const SecondaryIndex& idx : indexes_) {
         if (idx.column != i) continue;
+        // Equal keys are ordered by row id, so the ids come out sorted.
         std::vector<RowId> out;
-        if (idx.kind == IndexKind::kHash) {
-            auto range = idx.hash->equal_range(value);
-            for (auto it = range.first; it != range.second; ++it)
-                out.push_back(it->second);
-        } else {
-            auto range = idx.ordered->equal_range(value);
-            for (auto it = range.first; it != range.second; ++it)
-                out.push_back(it->second);
-        }
-        std::sort(out.begin(), out.end());
+        idx.tree.scan(
+            [&](const ValueIndex::Entry& e) { return e.key < value; },
+            [&](const ValueIndex::Entry& e) {
+                if (!(e.key == value)) return false;
+                out.push_back(e.id);
+                return true;
+            });
         return out;
     }
     throw SchemaError("no index on '" + def_.name + "." + std::string(column) +
@@ -504,22 +454,24 @@ std::vector<RowId> Table::index_range_lookup(std::string_view column,
     int i = def_.column_index(column);
     for (const auto& idx : indexes_) {
         if (idx.column != i || idx.kind != IndexKind::kOrdered) continue;
-        const OrderedIndexMap& ordered = *idx.ordered;
-        // NULL keys sort first in the ordered index but compare unknown in
-        // SQL, so an unbounded lower end still starts past them.
-        auto it = lo == nullptr
-                      ? ordered.upper_bound(Value::null())
-                      : (lo_strict ? ordered.upper_bound(*lo)
-                                   : ordered.lower_bound(*lo));
+        // NULL keys sort first in the index but compare unknown in SQL,
+        // so an unbounded lower end still starts past them.
         std::vector<RowId> out;
-        for (; it != ordered.end(); ++it) {
-            if (it->first.is_null()) continue;
-            if (hi != nullptr) {
-                auto ord = it->first.index_order(*hi);
-                if (hi_strict ? ord >= 0 : ord > 0) break;
-            }
-            out.push_back(it->second);
-        }
+        idx.tree.scan(
+            [&](const ValueIndex::Entry& e) {
+                if (lo == nullptr) return e.key.is_null();
+                auto ord = e.key.index_order(*lo);
+                return lo_strict ? ord <= 0 : ord < 0;
+            },
+            [&](const ValueIndex::Entry& e) {
+                if (e.key.is_null()) return true;
+                if (hi != nullptr) {
+                    auto ord = e.key.index_order(*hi);
+                    if (hi_strict ? ord >= 0 : ord > 0) return false;
+                }
+                out.push_back(e.id);
+                return true;
+            });
         std::sort(out.begin(), out.end());
         return out;
     }
@@ -542,14 +494,8 @@ std::vector<RowId> Table::lookup(std::string_view column,
 }
 
 void Table::index_row(RowId id) {
-    for (auto& idx : indexes_) {
-        const Value& v = store_[id][idx.column];
-        if (idx.kind == IndexKind::kHash) {
-            own_hash(idx, /*preserve=*/true).emplace(v, id);
-        } else {
-            own_ordered(idx, /*preserve=*/true).emplace(v, id);
-        }
-    }
+    for (SecondaryIndex& idx : indexes_)
+        idx.tree.insert(store_[id][idx.column], id);
 }
 
 void Table::verify_into(IntegrityReport& report) const {
@@ -612,17 +558,16 @@ void Table::verify_into(IntegrityReport& report) const {
 
     // Primary-key index: exactly one entry per row, pointing back at it.
     if (pk_column_ >= 0) {
-        if (pk_index_->size() != store_.size())
+        if (pk_index_.size() != store_.size())
             issue("pk-index", -1,
-                  "pk index has " + std::to_string(pk_index_->size()) +
+                  "pk index has " + std::to_string(pk_index_.size()) +
                       " entries for " + std::to_string(store_.size()) + " rows");
         for (RowId id = 0; id < store_.size(); ++id) {
             const Row& row = store_[id];
             if (row.size() != def_.columns.size() ||
                 row[pk_column_].type() != ValueType::kInteger)
                 continue;  // already reported above
-            auto it = pk_index_->find(row[pk_column_].as_integer());
-            if (it == pk_index_->end() || it->second != id)
+            if (pk_index_.find(row[pk_column_].as_integer()) != id)
                 issue("pk-index", doc_of(row),
                       "row " + std::to_string(id) + " pk " +
                           row[pk_column_].to_string() +
@@ -647,9 +592,11 @@ void Table::verify_into(IntegrityReport& report) const {
     for (const SecondaryIndex& idx : indexes_) {
         ++report.indexes_checked;
         const std::string& col = def_.columns[idx.column].name;
-        std::size_t entries = idx.kind == IndexKind::kHash
-                                  ? idx.hash->size()
-                                  : idx.ordered->size();
+        std::size_t entries = 0;
+        idx.tree.for_each([&](const ValueIndex::Entry&) {
+            ++entries;
+            return true;
+        });
         if (entries != store_.size())
             issue("index-size", -1,
                   "index on '" + col + "' has " + std::to_string(entries) +
@@ -669,19 +616,16 @@ void Table::verify_into(IntegrityReport& report) const {
                           " to row " + std::to_string(id) +
                           " whose cell is " + row[idx.column].to_string());
         };
-        if (idx.kind == IndexKind::kHash) {
-            for (const auto& [key, id] : *idx.hash) check_entry(key, id);
-        } else {
-            const Value* prev = nullptr;
-            for (const auto& [key, id] : *idx.ordered) {
-                check_entry(key, id);
-                if (prev != nullptr && key < *prev)
-                    issue("index-order", -1,
-                          "ordered index on '" + col +
-                              "' is out of order at key " + key.to_string());
-                prev = &key;
-            }
-        }
+        const Value* prev = nullptr;
+        idx.tree.for_each([&](const ValueIndex::Entry& e) {
+            check_entry(e.key, e.id);
+            if (prev != nullptr && e.key < *prev)
+                issue("index-order", -1,
+                      "index on '" + col + "' is out of order at key " +
+                          e.key.to_string());
+            prev = &e.key;
+            return true;
+        });
     }
 }
 
@@ -694,10 +638,9 @@ std::size_t Table::memory_bytes() const {
             if (v.type() == ValueType::kText) bytes += v.as_text().capacity();
         }
     }
-    bytes += pk_index_->size() * (sizeof(std::int64_t) + sizeof(RowId) + 16);
-    for (const auto& idx : indexes_)
-        bytes += (idx.hash->size() + idx.ordered->size()) *
-                 (sizeof(Value) + sizeof(RowId) + 16);
+    bytes += pk_index_.size() * sizeof(KeyIndex::Entry);
+    for (const SecondaryIndex& idx : indexes_)
+        bytes += idx.tree.size() * sizeof(ValueIndex::Entry);
     return bytes;
 }
 

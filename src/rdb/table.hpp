@@ -3,28 +3,29 @@
 // Row-oriented storage in copy-on-write chunks (DESIGN.md §15).  Each
 // table may declare one auto-increment INTEGER primary key; inserts
 // validate types, NOT NULL and primary-key uniqueness.  Secondary
-// indexes come in two flavours — hash (equality lookups, used for ID
-// resolution during loading) and ordered (range scans) — mirroring the
-// ablation called out in DESIGN.md.
+// indexes are declared hash (equality lookups, used for ID resolution
+// during loading) or ordered (equality and range scans); both kinds,
+// and the primary-key index, are copy-on-write B+trees (cow_btree.hpp).
 //
 // MVCC read path: publish() snapshots the table into an immutable
-// frozen clone that structurally shares row chunks and index
-// containers with the live table.  The single writer then copies a
-// chunk (or an index) the first time it mutates one that a published
-// version still references, so readers of any pinned version never see
-// a concurrent mutation and never take a latch.
+// frozen clone that structurally shares row chunks and index nodes with
+// the live table.  The single writer then copies a chunk (or an index
+// node) the first time it mutates one that a published version still
+// references, so readers of any pinned version never see a concurrent
+// mutation and never take a latch.
 #pragma once
 
 #include <atomic>
+#include <array>
+#include <compare>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
+#include "rdb/cow_btree.hpp"
 #include "rdb/stats.hpp"
 #include "rdb/value.hpp"
 
@@ -46,7 +47,6 @@ struct TableDef {
 };
 
 using Row = std::vector<Value>;
-using RowId = std::uint32_t;
 
 enum class IndexKind { kHash, kOrdered };
 
@@ -74,14 +74,17 @@ public:
 
 /// Chunked row storage with per-chunk copy-on-write (DESIGN.md §15).
 ///
-/// Rows live in fixed-size chunks behind shared_ptrs.  publish() marks
-/// every chunk shared and returns a structurally sharing copy for a
-/// frozen table version — O(#chunks), no row copies.  The single writer
-/// clones a chunk the first time it mutates one that is marked shared
-/// (`owned == false`), so a published chunk is immutable for its whole
-/// lifetime and concurrent readers of pinned versions are race-free by
-/// construction.  Ownership flags are writer-private state: no refcount
-/// inspection, no atomics, deterministic under TSan.
+/// Rows live in fixed-capacity chunks behind shared_ptrs; a chunk's
+/// slot array never moves or resizes.  publish() marks every chunk
+/// shared and returns a structurally sharing copy for a frozen table
+/// version — O(#chunks), no row copies.  A published version never
+/// reads past its own size, so the writer appends into a shared tail
+/// chunk in place and rewrites rows past the last publish() (`shared_`)
+/// in place too.  Only mut() of a published row clones its chunk, once
+/// per publish (`owned` flags), so a published row is immutable for its
+/// whole lifetime and concurrent readers of pinned versions are
+/// race-free by construction.  Ownership state is writer-private: no
+/// refcount inspection, no atomics, deterministic under TSan.
 class RowStore {
 public:
     static constexpr std::size_t kChunkShift = 10;
@@ -94,30 +97,27 @@ public:
         return slots_[i >> kChunkShift].chunk->rows[i & kChunkMask];
     }
     /// Mutable access for the writer; copies the containing chunk first
-    /// when a published version still shares it.
+    /// when the row is published and the chunk still shared.
     [[nodiscard]] Row& mut(std::size_t i) {
         Slot& s = slots_[i >> kChunkShift];
-        if (!s.owned) own(s, s.chunk->rows.size());
+        if (!s.owned && i < shared_) own(i >> kChunkShift);
         return s.chunk->rows[i & kChunkMask];
     }
 
     void push_back(Row&& row) {
-        if ((size_ & kChunkMask) == 0) {
+        if ((size_ & kChunkMask) == 0)
             slots_.push_back(Slot{std::make_shared<Chunk>(), true});
-            slots_.back().chunk->rows.reserve(kChunkRows);
-        }
-        Slot& s = slots_.back();
-        if (!s.owned) own(s, s.chunk->rows.size());
-        s.chunk->rows.push_back(std::move(row));
+        slots_.back().chunk->rows[size_ & kChunkMask] = std::move(row);
         ++size_;
     }
-    void pop_back() { truncate(size_ - 1); }
     /// Truncate to `n` rows (unit rollback); whole chunks past the cut
-    /// are dropped, a shared tail chunk is cloned up to the cut.
+    /// are dropped.  Rows no version published are cleared in place; a
+    /// cut below the last publish() clones the shared tail chunk.
     void truncate(std::size_t n);
     void clear() {
         slots_.clear();
         size_ = 0;
+        shared_ = 0;
     }
     void reserve(std::size_t additional) {
         slots_.reserve((size_ + additional + kChunkRows - 1) >> kChunkShift);
@@ -132,18 +132,19 @@ public:
 
 private:
     struct Chunk {
-        std::vector<Row> rows;
+        std::array<Row, kChunkRows> rows;
     };
     struct Slot {
         std::shared_ptr<Chunk> chunk;
-        bool owned = true;  ///< writer-private: no published version shares it
+        bool owned = true;  ///< writer-private: cloned since the last publish
     };
 
-    /// Replace a shared chunk with a private copy of its first `keep` rows.
-    void own(Slot& s, std::size_t keep);
+    /// Replace shared chunk `c` with a private copy of its live rows.
+    void own(std::size_t c);
 
     std::vector<Slot> slots_;
     std::size_t size_ = 0;
+    std::size_t shared_ = 0;  ///< rows a published version may read
     std::uint64_t chunks_cowed_ = 0;
 };
 
@@ -296,8 +297,7 @@ public:
 
     // -- MVCC versioning (DESIGN.md §15) --------------------------------------
     /// Snapshot this table into an immutable frozen clone sharing row
-    /// chunks and index containers (O(#chunks + #indexes), no data
-    /// copies).  While the table is unchanged since the last publish the
+    /// chunks and index nodes (O(#chunks + #indexes), no data copies).  While the table is unchanged since the last publish the
     /// cached clone is returned, so an idle table costs one shared_ptr
     /// copy per database publication.  Writer-side only (the caller
     /// holds writer exclusivity); subsequent writer mutations trigger
@@ -308,8 +308,9 @@ public:
     /// publication must cut a fresh frozen clone.
     [[nodiscard]] bool version_dirty() const { return dirty_; }
 
-    /// Index structures cloned by copy-on-write since construction.
-    [[nodiscard]] std::uint64_t indexes_cowed() const { return index_cows_; }
+    /// Index nodes (primary-key and secondary B+tree nodes) cloned by
+    /// copy-on-write since construction.
+    [[nodiscard]] std::uint64_t indexes_cowed() const;
     /// Row chunks cloned by copy-on-write since construction.
     [[nodiscard]] std::uint64_t chunks_cowed() const {
         return store_.chunks_cowed();
@@ -339,7 +340,7 @@ public:
     /// cell types against the schema, NOT NULL, pk uniqueness and
     /// pk-index agreement, pk-counter monotonicity, and for every
     /// secondary index entry-count, key↔row agreement, in-range row ids
-    /// and (ordered indexes) sortedness.  Read-only; index checks are
+    /// and sortedness.  Read-only; index checks are
     /// skipped (with a warning) while bulk mode has them deferred.
     void verify_into(IntegrityReport& report) const;
 
@@ -350,20 +351,19 @@ public:
     [[nodiscard]] double null_fraction() const;
 
 private:
-    using PkIndex = std::unordered_map<std::int64_t, RowId>;
-    using HashIndexMap = std::unordered_multimap<Value, RowId, ValueHash>;
-    using OrderedIndexMap = std::multimap<Value, RowId>;
+    using KeyIndex = CowBTree<std::int64_t, std::compare_three_way>;
+    using ValueIndex = CowBTree<Value, ValueIndexOrder>;
 
     struct SecondaryIndex {
         int column = -1;
+        /// Declared kind, persisted; the tree serves equality lookups for
+        /// both, range scans only for kOrdered (plans depend on it).
         IndexKind kind = IndexKind::kHash;
-        std::shared_ptr<HashIndexMap> hash;
-        std::shared_ptr<OrderedIndexMap> ordered;
-        bool owned = true;  ///< writer-private, like RowStore::Slot::owned
+        ValueIndex tree;
     };
 
     /// Frozen-clone constructor backing publish(): shares chunks and
-    /// index containers, snapshots scalar state, drops the mutation log.
+    /// index nodes, snapshots scalar state, drops the mutation log.
     struct FrozenTag {};
     Table(FrozenTag, Table& live);
 
@@ -374,10 +374,8 @@ private:
     bool bulk_ = false;
     bool frozen_ = false;  ///< immutable published clone (never mutated)
     bool dirty_ = true;    ///< mutated since last publish()
-    bool pk_owned_ = true;
-    std::uint64_t index_cows_ = 0;
     RowStore store_;
-    std::shared_ptr<PkIndex> pk_index_ = std::make_shared<PkIndex>();
+    KeyIndex pk_index_;  ///< pk → row id, when a primary key is declared
     std::vector<SecondaryIndex> indexes_;
     std::shared_ptr<const Table> last_published_;  ///< reused while !dirty_
 
@@ -396,13 +394,8 @@ private:
     std::vector<UndoCell> undo_;  ///< update() log, shared by nested frames
     TableStats stats_;
 
-    /// Writer-side copy-on-write helpers: hand back a privately owned
-    /// container, cloning (or, for rebuilds, replacing with a fresh empty
-    /// one) when a published version still shares the current one.
-    PkIndex& own_pk();
-    HashIndexMap& own_hash(SecondaryIndex& idx, bool preserve);
-    OrderedIndexMap& own_ordered(SecondaryIndex& idx, bool preserve);
-
+    /// Repopulate `idx` from current row storage, bottom-up.
+    void build_index(SecondaryIndex& idx);
     void validate(const Row& row) const;
     void index_row(RowId id);
     std::int64_t do_insert(Row&& row, bool validate_row);

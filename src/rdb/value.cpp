@@ -71,6 +71,16 @@ std::optional<std::strong_ordering> Value::compare(const Value& other) const {
 }
 
 std::strong_ordering Value::index_order(const Value& other) const {
+    // Same-type fast path (index searches are dominated by these); the
+    // results are exactly those of compare() below.
+    if (data_.index() == other.data_.index()) {
+        if (const auto* s = std::get_if<std::string>(&data_))
+            return *s <=> std::get<std::string>(other.data_);
+        if (const auto* i = std::get_if<std::int64_t>(&data_))
+            return order_double(static_cast<double>(*i),
+                                static_cast<double>(
+                                    std::get<std::int64_t>(other.data_)));
+    }
     bool an = is_null(), bn = other.is_null();
     if (an || bn) {
         if (an && bn) return std::strong_ordering::equal;

@@ -73,4 +73,11 @@ struct ValueHash {
     std::size_t operator()(const Value& v) const { return v.hash(); }
 };
 
+/// Three-way index order (Value::index_order) as a function object.
+struct ValueIndexOrder {
+    std::strong_ordering operator()(const Value& a, const Value& b) const {
+        return a.index_order(b);
+    }
+};
+
 }  // namespace xr::rdb

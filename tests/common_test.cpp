@@ -1,6 +1,10 @@
-// Unit tests for xr_common: strings, cursor, rng, table printer, errors.
+// Unit tests for xr_common: strings, cursor, rng, table printer, errors,
+// checksums.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/checksum.hpp"
 #include "common/cursor.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -173,6 +177,44 @@ TEST(Errors, HierarchyAndLocationPrefix) {
     ValidationError ve("invalid");
     EXPECT_STREQ(ve.what(), "invalid");
     EXPECT_FALSE(ve.where().valid());
+}
+
+/// Bytewise CRC32 straight from the definition (reflected polynomial
+/// 0xEDB88320, bit at a time): the reference the table-driven
+/// implementation must agree with.
+std::uint32_t crc32_reference(const unsigned char* data, std::size_t size,
+                              std::uint32_t seed) {
+    std::uint32_t c = seed ^ 0xFFFFFFFFu;
+    for (std::size_t i = 0; i < size; ++i) {
+        c ^= data[i];
+        for (int bit = 0; bit < 8; ++bit)
+            c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Checksum, Crc32StandardCheckValue) {
+    EXPECT_EQ(checksum::crc32("123456789"), 0xCBF43926u);
+    EXPECT_EQ(checksum::crc32(""), 0u);
+}
+
+TEST(Checksum, Crc32AgreesWithBytewiseReference) {
+    SplitMix64 rng(0xC4C32);
+    std::vector<unsigned char> buf(600);
+    for (auto& b : buf) b = static_cast<unsigned char>(rng());
+    for (int trial = 0; trial < 2000; ++trial) {
+        std::size_t offset = rng.below(8);  // every alignment
+        std::size_t size = rng.below(buf.size() - offset);
+        auto seed = static_cast<std::uint32_t>(rng.chance(0.5) ? rng() : 0);
+        const unsigned char* p = buf.data() + offset;
+        ASSERT_EQ(checksum::crc32(p, size, seed), crc32_reference(p, size, seed))
+            << "offset " << offset << " size " << size << " seed " << seed;
+        // Chaining two halves equals checksumming the whole buffer.
+        std::size_t cut = size == 0 ? 0 : rng.below(size + 1);
+        ASSERT_EQ(checksum::crc32(p + cut, size - cut,
+                                  checksum::crc32(p, cut, seed)),
+                  crc32_reference(p, size, seed));
+    }
 }
 
 }  // namespace

@@ -1,6 +1,18 @@
-// MiniRDB: values, tables, constraints, indexes, catalog, foreign keys.
+// MiniRDB: values, tables, constraints, indexes, catalog, foreign keys,
+// the copy-on-write index tree and what a commit copies.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/fault.hpp"
+#include "common/rng.hpp"
+#include "helpers.hpp"
+#include "rdb/cow_btree.hpp"
 #include "rdb/database.hpp"
 
 namespace xr::rdb {
@@ -217,6 +229,262 @@ TEST(Database, TotalsAggregate) {
     t.insert({Value::null(), Value("a"), Value::null()});
     EXPECT_EQ(db.total_rows(), 1u);
     EXPECT_GT(db.memory_bytes(), 0u);
+}
+
+// -- copy-on-write B+tree ------------------------------------------------------
+
+using IntTree = CowBTree<std::int64_t, std::compare_three_way>;
+using Pairs = std::vector<std::pair<std::int64_t, RowId>>;
+
+Pairs contents(const IntTree& tree) {
+    Pairs out;
+    tree.for_each([&](const IntTree::Entry& e) {
+        out.emplace_back(e.key, e.id);
+        return true;
+    });
+    return out;
+}
+
+// Random inserts and erases against a std::set oracle, publishing every
+// 1000 steps: the live tree always matches the oracle, and every
+// published tree keeps exactly the contents it was published with.
+TEST(CowBTree, MatchesSetOracleAndPublishedTreesStayFrozen) {
+    SplitMix64 rng(0xB7EE);
+    IntTree tree;
+    std::set<std::pair<std::int64_t, RowId>> oracle;
+    std::vector<std::pair<IntTree, Pairs>> published;
+    for (int step = 0; step < 20000; ++step) {
+        std::int64_t key = rng.range(0, 2000);
+        auto id = static_cast<RowId>(rng.below(8));
+        if (rng.chance(0.65))
+            ASSERT_EQ(tree.insert(key, id), oracle.insert({key, id}).second);
+        else
+            ASSERT_EQ(tree.erase(key, id), oracle.erase({key, id}) == 1);
+        if (step % 1000 == 999)
+            published.emplace_back(tree.publish(),
+                                   Pairs(oracle.begin(), oracle.end()));
+    }
+    EXPECT_EQ(tree.size(), oracle.size());
+    EXPECT_EQ(contents(tree), Pairs(oracle.begin(), oracle.end()));
+    for (const auto& [frozen, want] : published) {
+        EXPECT_EQ(frozen.size(), want.size());
+        EXPECT_EQ(contents(frozen), want);
+    }
+    for (std::int64_t k = -1; k <= 2001; ++k) {
+        auto it = oracle.lower_bound({k, 0});
+        std::optional<RowId> want;
+        if (it != oracle.end() && it->first == k) want = it->second;
+        ASSERT_EQ(tree.find(k), want) << "key " << k;
+    }
+
+    // A bottom-up build from unsorted entries holds the same set.
+    std::vector<IntTree::Entry> entries;
+    for (const auto& [k, id] : oracle) entries.push_back({k, id});
+    std::reverse(entries.begin(), entries.end());
+    IntTree built;
+    built.build(std::move(entries));
+    EXPECT_EQ(built.size(), oracle.size());
+    EXPECT_EQ(contents(built), Pairs(oracle.begin(), oracle.end()));
+
+    // Erasing everything empties the tree; it is reusable afterwards.
+    for (const auto& [k, id] : oracle) ASSERT_TRUE(tree.erase(k, id));
+    EXPECT_EQ(tree.size(), 0u);
+    EXPECT_EQ(tree.height(), 0u);
+    EXPECT_TRUE(tree.insert(5, 1));
+    EXPECT_EQ(contents(tree), (Pairs{{5, 1}}));
+}
+
+// Appends at the right edge pack nodes full, and the first append after
+// a publish copies exactly one root-to-leaf spine.
+TEST(CowBTree, AppendAfterPublishCopiesOneSpine) {
+    IntTree tree;
+    for (std::int64_t k = 0; k < 100000; ++k)
+        tree.insert(k, static_cast<RowId>(k));
+    EXPECT_EQ(tree.height(), 3u);  // 1563 full leaves under 25 inner nodes
+    IntTree frozen = tree.publish();
+    std::uint64_t before = tree.nodes_cowed();
+    for (std::int64_t k = 100000; k < 100010; ++k)
+        tree.insert(k, static_cast<RowId>(k));
+    EXPECT_EQ(tree.nodes_cowed() - before, tree.height());
+    EXPECT_EQ(frozen.size(), 100000u);
+    EXPECT_EQ(frozen.find(100005), std::nullopt);
+    EXPECT_EQ(tree.find(100005), std::optional<RowId>(100005));
+}
+
+// -- what a commit copies -------------------------------------------------------
+
+/// A committed table with a primary key, a hash index on `name` and an
+/// ordered index on `age`, loaded with `rows` rows.
+Table& indexed_table(Database& db, const std::string& name, int rows) {
+    TableDef def = people_def();
+    def.name = name;
+    Table& t = db.create_table(std::move(def));
+    t.create_index("name");
+    t.create_index("age", IndexKind::kOrdered);
+    db.begin_unit();
+    for (int i = 0; i < rows; ++i)
+        t.insert({Value::null(), Value("n" + std::to_string(i % 97)), Value(i)});
+    db.commit_unit();
+    return t;
+}
+
+// A commit appending one row copies O(tree height) index nodes per index
+// — the same for 1 000 and 100 000 rows up to one level per index — and
+// no row chunk.
+TEST(CommitCost, FlatInTableSize) {
+    Database db;
+    Table& small = indexed_table(db, "small", 1000);
+    Table& large = indexed_table(db, "large", 100000);
+    std::uint64_t small0 = small.indexes_cowed();
+    std::uint64_t large0 = large.indexes_cowed();
+    std::uint64_t chunks0 = db.mvcc_stats().chunks_cowed;
+
+    db.begin_unit();
+    small.insert({Value::null(), Value("n5"), Value(5)});
+    large.insert({Value::null(), Value("n5"), Value(5)});
+    db.commit_unit();
+
+    std::uint64_t small_nodes = small.indexes_cowed() - small0;
+    std::uint64_t large_nodes = large.indexes_cowed() - large0;
+    EXPECT_GT(small_nodes, 0u);
+    EXPECT_GE(large_nodes, small_nodes);
+    EXPECT_LE(large_nodes, small_nodes + 3);  // pk, name, age: one level each
+    EXPECT_EQ(db.mvcc_stats().chunks_cowed, chunks0);
+}
+
+/// Everything a reader can ask of the table: rows, pk and index lookups.
+std::string describe(const Table& t) {
+    std::string out;
+    for (RowId id = 0; id < t.row_count(); ++id) {
+        for (const Value& v : t.row(id)) out += v.to_string() + ",";
+        out += ";";
+    }
+    auto ids = [&](const std::vector<RowId>& v) {
+        out += "|";
+        for (RowId id : v) out += std::to_string(id) + ",";
+    };
+    ids(t.index_lookup("name", Value("n5")));
+    ids(t.index_lookup("name", Value("renamed")));
+    Value lo(100), hi(200);
+    ids(t.index_range_lookup("age", &lo, false, &hi, true));
+    ids(t.index_range_lookup("age", nullptr, false, &lo, true));
+    for (std::int64_t pk : {1, 42, 3001, 3002}) {
+        auto id = t.find_pk_rowid(pk);
+        out += "|" + (id ? std::to_string(*id) : std::string("-"));
+    }
+    return out;
+}
+
+// Versions pinned before an append + update commit and before a
+// rolled-back unit keep their exact rows and index results; the rollback
+// restores the live table exactly, copying only chunks of published
+// rows it updates.
+TEST(CommitCost, PinnedVersionsSurviveAppendUpdateAndRollback) {
+    Database db;
+    Table& t = indexed_table(db, "people", 3000);  // three row chunks
+    ReadSnapshot before = db.read_snapshot();
+    const std::string state0 = describe(before.version().require("people"));
+
+    std::uint64_t chunks0 = db.mvcc_stats().chunks_cowed;
+    db.begin_unit();
+    t.insert({Value::null(), Value("n5"), Value(150)});
+    t.update(5, "name", Value("renamed"));
+    t.update(2500, "age", Value(-1));
+    db.commit_unit();
+    // Two published rows updated in two chunks; the append copies none.
+    EXPECT_EQ(db.mvcc_stats().chunks_cowed - chunks0, 2u);
+
+    ReadSnapshot middle = db.read_snapshot();
+    const std::string state1 = describe(middle.version().require("people"));
+    EXPECT_NE(state1, state0);
+    EXPECT_EQ(describe(t), state1);
+
+    chunks0 = db.mvcc_stats().chunks_cowed;
+    db.begin_unit();
+    for (int i = 0; i < 1100; ++i)  // crosses into a fresh chunk
+        t.insert({Value::null(), Value("n5"), Value(120)});
+    t.update(6, "name", Value("renamed"));
+    t.update(3000, "age", Value(7));  // the row the last commit appended
+    t.update(3500, "name", Value("n5x"));  // a row of this unit
+    db.rollback_unit();
+    EXPECT_EQ(db.mvcc_stats().chunks_cowed - chunks0, 2u);
+
+    EXPECT_EQ(describe(t), state1);
+    EXPECT_EQ(describe(middle.version().require("people")), state1);
+    EXPECT_EQ(describe(before.version().require("people")), state0);
+    EXPECT_EQ(describe(db.read_snapshot().version().require("people")), state1);
+    EXPECT_TRUE(db.verify().clean()) << db.verify().to_string();
+}
+
+// -- catalog replacement and recovery publish once -------------------------------
+
+TEST(Database, DropInsideUnitIsUndoneByRollback) {
+    Database db;
+    db.create_table(people_def()).insert({Value::null(), Value("a"), Value(1)});
+    db.begin_unit();
+    db.drop_table("people");
+    EXPECT_EQ(db.table("people"), nullptr);
+    TableDef replacement = people_def();
+    replacement.columns.pop_back();
+    db.create_table(std::move(replacement));
+    db.rollback_unit();
+    ASSERT_NE(db.table("people"), nullptr);
+    EXPECT_EQ(db.require("people").column_count(), 3u);
+    EXPECT_EQ(db.require("people").row_count(), 1u);
+
+    db.begin_unit();
+    db.drop_table("people");
+    db.commit_unit();
+    EXPECT_EQ(db.table("people"), nullptr);
+}
+
+TEST(Database, AnalyzePublishesOneEpoch) {
+    Database db;
+    indexed_table(db, "people", 100);
+    for (int round = 0; round < 2; ++round) {  // create, then replace
+        std::uint64_t published = db.mvcc_stats().versions_published;
+        std::uint64_t watermark = db.commit_watermark();
+        (void)db.analyze();
+        EXPECT_EQ(db.mvcc_stats().versions_published, published + 1);
+        EXPECT_EQ(db.commit_watermark(), watermark + 1);
+        EXPECT_EQ(db.require(Database::kStatsTable).row_count(), 3u);
+    }
+}
+
+// A WAL holding many commits and an analyze() replays into one published
+// epoch; an analyze() whose commit frame fails keeps the old catalog, in
+// memory and across a restart.
+TEST(Database, RecoveryPublishesOnceAndAnalyzeIsAtomic) {
+    test::TempDir dir;
+    {
+        Database db;
+        (void)db.open(dir.path());
+        Table& t = db.create_table(people_def());
+        for (int i = 0; i < 20; ++i) {
+            db.begin_unit();
+            t.insert({Value::null(), Value("n"), Value(i)});
+            db.commit_unit();
+        }
+        (void)db.analyze();
+        db.begin_unit();
+        t.insert({Value::null(), Value("late"), Value(99)});
+        db.commit_unit();
+        ASSERT_TRUE(fault::arm("wal.fsync"));
+        EXPECT_THROW((void)db.analyze(), fault::InjectedFault);
+        fault::disarm();
+        const Table* cat = db.table(Database::kStatsTable);
+        ASSERT_NE(cat, nullptr);
+        EXPECT_EQ(cat->row(0)[2].as_integer(), 20);  // the first analyze's rows
+    }
+    Database db;
+    RecoveryReport report = db.open(dir.path());
+    EXPECT_GT(report.records_replayed, 40u);
+    EXPECT_EQ(db.mvcc_stats().versions_published, 1u);
+    EXPECT_EQ(db.require("people").row_count(), 21u);
+    const Table& cat =
+        db.read_snapshot().version().require(Database::kStatsTable);
+    ASSERT_EQ(cat.row_count(), 3u);
+    EXPECT_EQ(cat.row(0)[2].as_integer(), 20);
 }
 
 }  // namespace
