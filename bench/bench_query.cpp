@@ -12,11 +12,11 @@
 // Expected shape: DOM wins on tiny corpora (no join overhead); SQL wins as
 // the corpus grows when the predicate is selective and indexed; full-path
 // enumeration stays DOM-friendly.  The crossover is the result.
-// The cold-path section compares descendant ('//') queries with every
-// cache disabled: the structural-index interval plans against the legacy
-// navigational join chains, cold (parse + translate + execute) and warm
-// (execute only).  The serving section answers the follow-on question:
-// what does the relational side buy once queries arrive *concurrently*?
+// The cold-path section times descendant ('//') queries with every
+// cache disabled: the structural-index interval plans, cold (parse +
+// translate + execute) and warm (execute only).  The serving section
+// answers the follow-on question: what does the relational side buy
+// once queries arrive *concurrently*?
 // N client threads replay a mixed workload through query::QueryService;
 // the shared result cache turns each distinct query's cost into one cold
 // execution plus cheap hits, so aggregate throughput scales with the
@@ -120,25 +120,18 @@ void print_report() {
 }
 
 // ---------------------------------------------------------------------------
-// Cold path: descendant queries with every cache disabled, interval plan
-// vs the legacy navigational join chain.  "Cold" pays the full pipeline —
-// parse, translate, SQL parse, execute — exactly what a first-seen query
-// costs through the service; "warm" re-executes the already-translated
-// plan.  The structural index turns a root '//x' into a bare table scan
-// and a nested '//' into one (pre, post) range probe, which is where the
-// ~900us legacy cold path goes to die.
+// Cold path: descendant queries with every cache disabled.  "Cold" pays
+// the full pipeline — parse, translate, SQL parse, execute — exactly what
+// a first-seen query costs through the service; "warm" re-executes the
+// already-translated plan.  The structural index turns a root '//x' into
+// a bare table scan and a nested '//' into one (pre, post) range probe.
 
 struct ColdRecord {
     std::string query;
     std::size_t rows = 0;
     std::size_t interval_joins = 0;
-    std::size_t legacy_joins = 0;
     double interval_cold_us = 0;
-    double legacy_cold_us = 0;
     double interval_warm_us = 0;
-    double legacy_warm_us = 0;
-
-    double cold_speedup() const { return legacy_cold_us / interval_cold_us; }
 };
 
 std::vector<ColdRecord> cold_path_records(Loaded& loaded) {
@@ -151,40 +144,22 @@ std::vector<ColdRecord> cold_path_records(Loaded& loaded) {
     };
     xquery::SqlTranslator translator(loaded.stack.mapping,
                                      loaded.stack.schema);
-    xquery::TranslateOptions interval;
-    xquery::TranslateOptions legacy;
-    legacy.use_struct_index = false;
 
     std::vector<ColdRecord> records;
     for (const char* text : kDescendant) {
-        auto cold = [&](const xquery::TranslateOptions& opts) {
-            return time_us([&] {
-                xquery::Translation t =
-                    translator.translate(xquery::parse_query(text), opts);
-                (void)sql::execute(loaded.stack.db, t.sql);
-            });
-        };
-        auto warm = [&](const xquery::TranslateOptions& opts) {
-            xquery::Translation t =
-                translator.translate(xquery::parse_query(text), opts);
-            sql::SelectStmt stmt = sql::parse_select(t.sql);
-            return time_us(
-                [&] { (void)sql::execute_select(loaded.stack.db, stmt); });
-        };
-
         ColdRecord rec;
         rec.query = text;
-        xquery::Translation it =
-            translator.translate(xquery::parse_query(text), interval);
-        xquery::Translation lt =
-            translator.translate(xquery::parse_query(text), legacy);
-        rec.rows = sql::execute(loaded.stack.db, it.sql).row_count();
-        rec.interval_joins = it.join_count;
-        rec.legacy_joins = lt.join_count;
-        rec.interval_cold_us = cold(interval);
-        rec.legacy_cold_us = cold(legacy);
-        rec.interval_warm_us = warm(interval);
-        rec.legacy_warm_us = warm(legacy);
+        xquery::Translation t = translator.translate(xquery::parse_query(text));
+        rec.rows = sql::execute(loaded.stack.db, t.sql).row_count();
+        rec.interval_joins = t.join_count;
+        rec.interval_cold_us = time_us([&] {
+            xquery::Translation cold =
+                translator.translate(xquery::parse_query(text));
+            (void)sql::execute(loaded.stack.db, cold.sql);
+        });
+        sql::SelectStmt stmt = sql::parse_select(t.sql);
+        rec.interval_warm_us = time_us(
+            [&] { (void)sql::execute_select(loaded.stack.db, stmt); });
         records.push_back(rec);
     }
     return records;
@@ -639,12 +614,8 @@ void emit_json(const std::vector<ServeRecord>& serving,
         const ColdRecord& r = cold[i];
         out << "    {\"query\": \"" << r.query << "\", \"rows\": " << r.rows
             << ", \"interval_joins\": " << r.interval_joins
-            << ", \"legacy_joins\": " << r.legacy_joins
             << ", \"interval_cold_us\": " << r.interval_cold_us
-            << ", \"legacy_cold_us\": " << r.legacy_cold_us
-            << ", \"interval_warm_us\": " << r.interval_warm_us
-            << ", \"legacy_warm_us\": " << r.legacy_warm_us
-            << ", \"cold_speedup\": " << r.cold_speedup() << "}"
+            << ", \"interval_warm_us\": " << r.interval_warm_us << "}"
             << (i + 1 < cold.size() ? "," : "") << "\n";
     }
     out << "  ],\n  \"planner\": [\n";
@@ -695,20 +666,15 @@ Loaded& corpus512();
 
 std::vector<ColdRecord> cold_path_report() {
     std::cout << "=== §5-cold: descendant queries, caches off — interval "
-                 "plans vs legacy join chains ===\n";
+                 "plans ===\n";
     std::vector<ColdRecord> records = cold_path_records(corpus512());
-    TablePrinter table({"query", "rows", "ivl joins", "leg joins",
-                        "ivl cold us", "leg cold us", "cold x", "ivl warm us",
-                        "leg warm us"});
+    TablePrinter table({"query", "rows", "ivl joins", "ivl cold us",
+                        "ivl warm us"});
     for (const ColdRecord& r : records)
         table.add_row({r.query, std::to_string(r.rows),
                        std::to_string(r.interval_joins),
-                       std::to_string(r.legacy_joins),
                        format_double(r.interval_cold_us, 1),
-                       format_double(r.legacy_cold_us, 1),
-                       format_double(r.cold_speedup(), 1),
-                       format_double(r.interval_warm_us, 1),
-                       format_double(r.legacy_warm_us, 1)});
+                       format_double(r.interval_warm_us, 1)});
     std::cout << table.to_string() << "\n";
     return records;
 }

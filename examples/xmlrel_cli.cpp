@@ -42,14 +42,14 @@
 //       the admission queue (excess submissions are shed with a
 //       retry-after hint), and --row-budget caps the rows any one query
 //       may materialize; the end-of-run statistics include the
-//       admitted/shed/expired counts and queue-wait percentiles.  --no-struct-index disables the structural
-//       (pre, post) interval index for '//' / [ancestor::] translation,
-//       falling back to the legacy join-chain expansion; --explain prints
-//       an EXPLAIN line per path query: the translation summary plus the
-//       cost-based plan (per-stage access path, estimated rows and cost).
-//       --analyze rebuilds table statistics (ANALYZE) after loading and
-//       prints the report; --no-planner disables the cost-based join
-//       reordering so statements run exactly as translated/written.
+//       admitted/shed/expired counts and queue-wait percentiles.
+//       --explain prints an EXPLAIN line per path query: the translation
+//       summary plus the cost-based plan (per-stage access path,
+//       estimated rows and cost).  --analyze rebuilds table statistics
+//       (ANALYZE) after loading and prints the report; --no-planner
+//       disables the cost-based join reordering so statements run exactly
+//       as translated/written (inline mode and --explain only; it is a
+//       usage error with --serve-threads).
 //       --verify runs the online integrity checker after loading and
 //       prints the report (exit 1 if it finds errors); --salvage opens
 //       --data-dir in salvage mode — corrupt snapshot sections and WAL
@@ -111,7 +111,7 @@ int usage() {
                  "[--sql STMT]... [--query PATH]... [--reconstruct N] "
                  "[--serve-threads N] [--cache-mb M] "
                  "[--deadline-ms N] [--max-queue N] [--row-budget N] "
-                 "[--no-struct-index] [--explain] [--analyze] "
+                 "[--explain] [--analyze] "
                  "[--no-planner] [--verify] [--salvage]\n"
               << "    (with --data-dir the <xml-file> list may be empty: "
                  "--verify checks an\n"
@@ -173,10 +173,9 @@ int cmd_load(const std::vector<std::string>& args) {
     std::int64_t deadline_ms = 0;  // 0 = no per-query deadline
     std::int64_t max_queue = 0;    // 0 = unbounded admission
     std::int64_t row_budget = 0;   // 0 = unlimited materialization
-    bool use_struct_index = true;
     bool explain = false;
     bool analyze = false;
-    bool use_planner = true;
+    bool planner_enabled = true;
     bool verify = false;
     bool salvage = false;
 
@@ -247,14 +246,12 @@ int cmd_load(const std::vector<std::string>& args) {
             auto v = int_arg(i);
             if (!v || *v <= 0) return usage();
             row_budget = *v;
-        } else if (args[i] == "--no-struct-index") {
-            use_struct_index = false;
         } else if (args[i] == "--explain") {
             explain = true;
         } else if (args[i] == "--analyze") {
             analyze = true;
         } else if (args[i] == "--no-planner") {
-            use_planner = false;
+            planner_enabled = false;
         } else if (args[i] == "--verify") {
             verify = true;
         } else if (args[i] == "--salvage") {
@@ -285,6 +282,11 @@ int cmd_load(const std::vector<std::string>& args) {
     }
     if (salvage && data_dir.empty()) {
         std::cerr << "error: --salvage requires --data-dir\n";
+        return 2;
+    }
+    if (!planner_enabled && serve_threads > 0) {
+        std::cerr << "error: --no-planner is not available with "
+                     "--serve-threads\n";
         return 2;
     }
 
@@ -411,7 +413,7 @@ int cmd_load(const std::vector<std::string>& args) {
         try {
             xr::sql::SelectStmt stmt = xr::sql::parse_select(t.sql);
             xr::sql::PlannerOptions popts;
-            popts.enable = use_planner;
+            popts.enable = planner_enabled;
             xr::sql::PlanInfo info = xr::sql::plan_select(db, stmt, popts);
             std::cout << "  " << info.to_string() << "\n";
         } catch (const xr::Error& e) {
@@ -438,8 +440,6 @@ int cmd_load(const std::vector<std::string>& args) {
         xr::query::ServiceOptions sopts;
         sopts.threads = static_cast<std::size_t>(serve_threads);
         sopts.result_cache_bytes = static_cast<std::size_t>(cache_mb) << 20;
-        sopts.use_struct_index = use_struct_index;
-        sopts.use_planner = use_planner;
         sopts.default_deadline = std::chrono::milliseconds(deadline_ms);
         sopts.max_queue = static_cast<std::size_t>(max_queue);
         sopts.row_budget = static_cast<std::size_t>(row_budget);
@@ -514,7 +514,7 @@ int cmd_load(const std::vector<std::string>& args) {
     }
 
     xr::sql::PlannerOptions planner_opts;
-    planner_opts.enable = use_planner;
+    planner_opts.enable = planner_enabled;
     if (serve_threads == 0)
         for (const auto& stmt : sql_statements) {
             std::cout << "\nsql> " << stmt << "\n";
@@ -529,9 +529,7 @@ int cmd_load(const std::vector<std::string>& args) {
             std::cout << "\nquery> " << text << "\n";
             auto q = xr::xquery::parse_query(text);
             try {
-                xr::xquery::TranslateOptions topts;
-                topts.use_struct_index = use_struct_index;
-                auto t = translator.translate(q, topts);
+                auto t = translator.translate(q);
                 std::cout << "  sql: " << t.sql << "\n";
                 if (explain) print_explain(t);
                 auto results =

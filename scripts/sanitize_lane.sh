@@ -18,7 +18,10 @@
 # fingerprint pinned versions while the writer commits beside them.
 # Also the structural-index tests, whose bulk label merge and
 # range-scan counters are shared state, and the overload tests
-# (admission racing shutdown, abandon-cancel).
+# (admission racing shutdown, abandon-cancel).  A second TSan pass
+# repeats the `mvcc|concurrency|overload|query` labels until the first
+# failure, up to 20 runs each: every publication point must be atomic to
+# readers on every run, not on most runs.
 #
 # UBSan lane (`undefined`): the planner's selectivity/cost arithmetic
 # (double math over row counts, bitmask subset walks), the structural
@@ -65,3 +68,7 @@ cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" -L "$LABELS" \
       --output-on-failure -j "$(nproc)"
+if [ "$LANE" = thread ]; then
+  ctest --test-dir "$BUILD_DIR" -L 'mvcc|concurrency|overload|query' \
+        --repeat until-fail:20 --output-on-failure -j "$(nproc)"
+fi

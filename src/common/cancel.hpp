@@ -4,8 +4,8 @@
 // every execution: it bundles an explicit-cancel flag, a steady-clock
 // deadline and per-query materialization budgets (rows / bytes) behind one
 // cheap check() call.  Execution code polls the token at its natural loop
-// boundaries (the SQL executor every kCancelPollInterval rows, the legacy
-// '//' expansion every few DFS steps); a fired condition surfaces as the
+// boundaries (the SQL executor every kCancelPollInterval rows; the query
+// service once before translation); a fired condition surfaces as the
 // matching CancelledError subclass, which unwinds through the ordinary
 // error paths — a cancelled query leaves no state behind because queries
 // never had side effects to begin with.

@@ -34,9 +34,6 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point since) {
 
 QueryService::QueryService(rdb::Database& db, ServiceOptions options)
     : db_(db), options_(options) {
-    use_struct_index_.store(options_.use_struct_index,
-                            std::memory_order_relaxed);
-    use_planner_.store(options_.use_planner, std::memory_order_relaxed);
     for (std::size_t i = 0; i < options_.threads; ++i)
         workers_.emplace_back([this] { worker_loop(); });
 }
@@ -99,21 +96,17 @@ QueryService::Result QueryService::sql(const std::string& text,
     }
     sql_queries_.fetch_add(1, std::memory_order_relaxed);
     cancel.check();  // don't take the latch for an already-dead query
-    sql::PlannerOptions popts;
-    popts.enable = use_planner_.load(std::memory_order_relaxed);
     rdb::ReadSnapshot snapshot = db_.read_snapshot();
     // The parsed statement is private to this call, so executing it
     // directly (instead of re-parsing inside sql::execute) is safe.  The
     // snapshot's view pins a published DatabaseVersion: the whole
     // plan+execute runs latch-free against that epoch, concurrent writers
     // never block it and it never observes their partial state.
-    // Planner-off results get their own cache namespace; the default
-    // (planner-on) keys stay unprefixed so existing entries survive.
     return run_select(
-        (popts.enable ? "sql:" : "np:sql:") + text,
+        "sql:" + text,
         [&] {
             return sql::execute_select(snapshot.view(), stmt.select,
-                                       &exec_stats_, cancel, &popts);
+                                       &exec_stats_, cancel);
         },
         snapshot);
 }
@@ -127,16 +120,14 @@ QueryService::Result QueryService::path(const std::string& text,
     xquery::Translation t = translate_with(text, cancel);
     path_queries_.fetch_add(1, std::memory_order_relaxed);
     cancel.check();
-    sql::PlannerOptions popts;
-    popts.enable = use_planner_.load(std::memory_order_relaxed);
     rdb::ReadSnapshot snapshot = db_.read_snapshot();
     // Keyed by the *normalized* query (embedded in the translated SQL via
     // the plan cache): textual variants of one query share an entry.
     return run_select(
-        (popts.enable ? "path:" : "np:path:") + t.sql,
+        "path:" + t.sql,
         [&] {
             return sql::execute_read(snapshot.view(), t.sql, &exec_stats_,
-                                     cancel, &popts);
+                                     cancel);
         },
         snapshot);
 }
@@ -151,13 +142,10 @@ xquery::Translation QueryService::translate_with(const std::string& text,
         throw QueryError(
             "this query service was built without a mapping; "
             "path queries are not available");
+    cancel.check();  // refuse a dead query before translating it
     xquery::PathQuery q = xquery::parse_query(text);
-    xquery::TranslateOptions topts;
-    topts.use_struct_index = use_struct_index_.load(std::memory_order_relaxed);
-    topts.cancel = cancel;
-    if (plan_cache_ != nullptr)
-        return plan_cache_->get(q, topts, db_.stats_epoch());
-    return translator_->translate(q, topts);
+    if (plan_cache_ != nullptr) return plan_cache_->get(q);
+    return translator_->translate(q);
 }
 
 QueryService::Submission QueryService::submit_sql(std::string text) {

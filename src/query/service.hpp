@@ -67,14 +67,6 @@ struct ServiceOptions {
     std::size_t result_cache_bytes = 16u << 20;
     /// Plan-cache entry capacity; 0 disables plan caching.
     std::size_t plan_cache_entries = 256;
-    /// Initial state of the session's structural-index toggle (SET-style,
-    /// see set_struct_index()): translate '//' and [ancestor::] through
-    /// the (pre, post) interval labels, or use the legacy expansions.
-    bool use_struct_index = true;
-    /// Initial state of the cost-based planner toggle (DESIGN.md §13,
-    /// see set_planner()): re-cost and possibly reorder translated joins
-    /// using table statistics, or execute statements exactly as written.
-    bool use_planner = true;
 
     // ---- Overload discipline (DESIGN.md §11) ----
 
@@ -210,29 +202,6 @@ public:
     /// hits the plan cache like path() does.
     [[nodiscard]] xquery::Translation translate(const std::string& text);
 
-    /// SET-style session toggle for the structural interval index.  Plans
-    /// from both modes coexist in the plan cache under distinct keys, and
-    /// result-cache keys embed the translated SQL, so flipping the toggle
-    /// never serves a result computed under the other plan.
-    void set_struct_index(bool on) {
-        use_struct_index_.store(on, std::memory_order_relaxed);
-    }
-    [[nodiscard]] bool struct_index() const {
-        return use_struct_index_.load(std::memory_order_relaxed);
-    }
-
-    /// SET-style session toggle for the cost-based planner.  Result-cache
-    /// keys carry an "np:" prefix while the planner is off, so a result
-    /// computed under one mode is never served under the other (the rows
-    /// are equal either way — the fuzzer checks that — but stats must
-    /// attribute them to the right plan).
-    void set_planner(bool on) {
-        use_planner_.store(on, std::memory_order_relaxed);
-    }
-    [[nodiscard]] bool planner() const {
-        return use_planner_.load(std::memory_order_relaxed);
-    }
-
     /// Enqueue for a worker thread.  Admission control applies here:
     /// throws xr::ShuttingDown after shutdown() began, xr::Overloaded
     /// when the queue is at max_queue (the exception carries the depth
@@ -317,8 +286,6 @@ private:
     std::atomic<std::uint64_t> sql_queries_{0};
     std::atomic<std::uint64_t> path_queries_{0};
     std::atomic<std::uint64_t> writes_{0};
-    std::atomic<bool> use_struct_index_{true};
-    std::atomic<bool> use_planner_{true};
     sql::ExecStats exec_stats_;
 
     // Overload counters (lifecycle classification happens in the job

@@ -104,12 +104,10 @@ private:
             t.columns.push_back({"pcdata", ValueType::kText, false, false,
                                  ColumnRole::kText, "", ""});
         }
-        if (options_.structural_labels) {
-            // Dietz interval labels: descendant(d, a) ⇔ a.pre < d.pre < a.post.
-            t.columns.push_back(label_column("pre"));
-            t.columns.push_back(label_column("post"));
-            t.columns.push_back(label_column("level"));
-        }
+        // Dietz interval labels: descendant(d, a) ⇔ a.pre < d.pre < a.post.
+        t.columns.push_back(label_column("pre"));
+        t.columns.push_back(label_column("post"));
+        t.columns.push_back(label_column("level"));
         schema_.add_table(std::move(t));
     }
 

@@ -2,7 +2,8 @@
 // [EN89], instantiated for the three relationship kinds of the mapping).
 //
 // Layout produced:
-//   * entity E            → table e(pk, doc, <attributes...>, [pcdata|raw_xml])
+//   * entity E            → table e(pk, doc, <attributes...>, [pcdata|raw_xml],
+//                            pre, post, level)   [structural labels, §10]
 //   * NESTED N(P→C)       → table n(pk, doc, parent_pk→P, child_pk→C, ord)
 //   * NESTED_GROUP NG     → table ng(pk, doc, parent_pk→P, ord, <rel attrs>,
 //                            <m_pk→M for each non-repeatable member>)
@@ -35,10 +36,6 @@ struct TranslateOptions {
     bool ordinal_only_where_repeatable = false;
     /// Emit the xrel_* metadata table definitions.
     bool metadata_tables = true;
-    /// Add `(pre, post, level)` structural interval labels to every entity
-    /// table (DESIGN.md §10) — the basis for descendant/ancestor interval
-    /// containment joins.
-    bool structural_labels = true;
 };
 
 [[nodiscard]] RelationalSchema translate(const mapping::MappingResult& mapping,

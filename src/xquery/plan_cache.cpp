@@ -3,14 +3,7 @@
 namespace xr::xquery {
 
 Translation TranslationCache::get(const PathQuery& query) {
-    return get(query, TranslateOptions{});
-}
-
-Translation TranslationCache::get(const PathQuery& query,
-                                  const TranslateOptions& options,
-                                  std::uint64_t stats_epoch) {
-    std::string key = (options.use_struct_index ? "S:" : "L:") +
-                      std::to_string(stats_epoch) + ":" + query.to_string();
+    std::string key = query.to_string();
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
     if (it != index_.end()) {
@@ -19,7 +12,7 @@ Translation TranslationCache::get(const PathQuery& query,
         return it->second->translation;
     }
     ++stats_.misses;
-    Translation t = translator_.translate(query, options);  // may throw; not cached
+    Translation t = translator_.translate(query);  // may throw; not cached
     if (capacity_ == 0) return t;
     lru_.push_front(Entry{key, t});
     index_.emplace(std::move(key), lru_.begin());

@@ -2,7 +2,9 @@
 //
 // Translation is pure — it depends only on the mapping and the relational
 // schema, both frozen once a database is loaded — so a cached Translation
-// never goes stale; the cache exists to amortize the join-path search that
+// never goes stale, and the key is the query alone.  Table statistics do
+// not enter it: the cost-based planner runs on every execution of the
+// cached SQL, never here.  The cache amortizes the join-path search that
 // SqlTranslator::translate performs per query.  Keys are *normalized*
 // query text (parse → to_string), so `/a[ x = 'y' ]/b` and
 // `/a[x='y']/b` share one entry.
@@ -48,16 +50,7 @@ public:
     /// Translate `query`, serving repeats from the cache.  Throws
     /// xr::QueryError exactly as SqlTranslator::translate does (failures
     /// are not cached — an untranslatable query stays an error).
-    /// Translations under different TranslateOptions get distinct keys
-    /// (the flag is folded into the key), so toggling the structural
-    /// index never serves a plan from the other mode.  `stats_epoch` is
-    /// also folded into the key (DESIGN.md §13): when table statistics
-    /// change materially, entries cached under the old epoch age out of
-    /// the LRU instead of pinning a stale plan shape forever.
     [[nodiscard]] Translation get(const PathQuery& query);
-    [[nodiscard]] Translation get(const PathQuery& query,
-                                  const TranslateOptions& options,
-                                  std::uint64_t stats_epoch = 0);
 
     [[nodiscard]] PlanCacheStats stats() const;
     [[nodiscard]] std::size_t size() const;

@@ -115,51 +115,6 @@ std::vector<const SqlTranslator::Hop*> SqlTranslator::find_path(
     return {};
 }
 
-std::vector<std::vector<const SqlTranslator::Hop*>>
-SqlTranslator::find_descendant_paths(const std::string& from,
-                                     const std::string& to,
-                                     std::size_t max_paths, bool* exhausted,
-                                     const CancelToken& cancel) const {
-    // Depth-first over simple paths (no node revisited): a cycle reachable
-    // on a from→to route would unroll into infinitely many join chains, so
-    // the moment one is seen the search is marked exhausted — recursive
-    // DTDs genuinely need recursive SQL, which this dialect does not have.
-    // The expansion budget bounds pathological fan-out the same way, and a
-    // deadline / cancel fires between steps so a deep-nesting schema cannot
-    // pin a worker inside translation (DESIGN.md §11).
-    *exhausted = false;
-    std::vector<std::vector<const Hop*>> paths;
-    std::vector<const Hop*> path;
-    std::set<std::string> on_stack{from};
-    std::size_t budget = 20000;
-    auto dfs = [&](auto&& self, const std::string& node) -> void {
-        if (paths.size() >= max_paths) return;
-        if (budget == 0) {
-            *exhausted = true;
-            return;
-        }
-        if (budget % 64 == 0) cancel.check();
-        --budget;
-        auto it = edges_.find(node);
-        if (it == edges_.end()) return;
-        for (const Hop& hop : it->second) {
-            if (!on_stack.insert(hop.to).second) {
-                *exhausted = true;
-                continue;
-            }
-            path.push_back(&hop);
-            if (hop.to == to && hop.kind != Hop::Kind::kGroup)
-                paths.push_back(path);
-            self(self, hop.to);
-            path.pop_back();
-            on_stack.erase(hop.to);
-            if (paths.size() >= max_paths) return;
-        }
-    };
-    dfs(dfs, from);
-    return paths;
-}
-
 namespace {
 
 /// Builder for the FROM/JOIN/WHERE clauses.
@@ -197,12 +152,6 @@ struct NodeCtx {
 }  // namespace
 
 Translation SqlTranslator::translate(const PathQuery& query) const {
-    return translate(query, TranslateOptions{});
-}
-
-Translation SqlTranslator::translate(const PathQuery& query,
-                                     const TranslateOptions& options) const {
-    options.cancel.check();
     if (query.steps.empty()) throw QueryError("empty path query");
     const Step& root_step = query.steps.front();
     if (root_step.attribute || root_step.text_fn)
@@ -255,8 +204,7 @@ Translation SqlTranslator::translate(const PathQuery& query,
                     "element rows");
         if (!has_labels(t))
             throw QueryError(
-                "'" + name + "' carries no structural (pre, post) labels "
-                "(structural_labels was disabled at mapping time)");
+                "'" + name + "' carries no structural (pre, post) labels");
         return t;
     };
 
@@ -321,40 +269,22 @@ Translation SqlTranslator::translate(const PathQuery& query,
         return emit_hops(ctx, path);
     };
 
-    // Navigate a descendant ('//') step from `ctx`.  With the structural
-    // index this is one interval containment join — strict pre-enclosure,
-    // valid across documents because per-document label ranges are
-    // disjoint.  Without it, the legacy expansion unrolls the step into
-    // the join chain when exactly one relationship path exists.
+    // Navigate a descendant ('//') step from `ctx`: one interval
+    // containment join — strict pre-enclosure, valid across documents
+    // because per-document label ranges are disjoint.
     auto navigate_descendant = [&](const NodeCtx& ctx,
                                    const std::string& name) -> NodeCtx {
-        if (options.use_struct_index) {
-            const rel::TableSchema* target = entity_target(name);
-            if (!has_labels(ctx.table))
-                throw QueryError(
-                    "'" + ctx.node + "' carries no structural (pre, post) "
-                    "labels ('//' needs an entity context)");
-            std::string d = sql.alias();
-            sql.joins.push_back("JOIN " + target->name + " " + d + " ON " + d +
-                                ".pre > " + ctx.alias + ".pre AND " + d +
-                                ".pre < " + ctx.alias + ".post");
-            interval_plan = true;
-            note("//" + name + ": interval containment join");
-            return {name, d, target, "", ""};
-        }
-        bool exhausted = false;
-        auto paths =
-            find_descendant_paths(ctx.node, name, 2, &exhausted, options.cancel);
-        if (paths.empty() && !exhausted)
-            throw QueryError("no relationship path from '" + ctx.node +
-                             "' to '" + name + "'");
-        if (paths.size() != 1 || exhausted)
-            throw QueryError(
-                "'//" + name + "' from '" + ctx.node + "' has no unique "
-                "join-chain expansion (structural index disabled)");
-        note("//" + name + ": legacy join chain (" +
-             std::to_string(paths.front().size()) + " hops)");
-        return emit_hops(ctx, paths.front());
+        const rel::TableSchema* target = entity_target(name);
+        if (!has_labels(ctx.table))
+            throw QueryError("'" + ctx.node + "' carries no structural (pre, "
+                             "post) labels ('//' needs an entity context)");
+        std::string d = sql.alias();
+        sql.joins.push_back("JOIN " + target->name + " " + d + " ON " + d +
+                            ".pre > " + ctx.alias + ".pre AND " + d +
+                            ".pre < " + ctx.alias + ".post");
+        interval_plan = true;
+        note("//" + name + ": interval containment join");
+        return {name, d, target, "", ""};
     };
 
     // Attribute access on an entity context: a plain column, or — for an
@@ -494,10 +424,6 @@ Translation SqlTranslator::translate(const PathQuery& query,
                     // interval strictly contains the context's pre label.
                     // Duplicate matches (same-name nested ancestors) are
                     // deduplicated by the DISTINCT / COUNT(DISTINCT) yields.
-                    if (!options.use_struct_index)
-                        throw QueryError(
-                            "[ancestor::...] has no SQL translation without "
-                            "the structural index");
                     const std::string& name = pred.path.elements.front();
                     const rel::TableSchema* anc = entity_target(name);
                     if (!has_labels(ctx.table))
@@ -518,59 +444,19 @@ Translation SqlTranslator::translate(const PathQuery& query,
         }
     };
 
-    // Root.  A root descendant step ('//x') selects every x element; with
-    // the structural index that is simply the entity table itself — every
-    // row IS an x element — so the plan is a bare table scan with no joins
-    // at all.  The legacy expansion anchors at a document-root entity (no
-    // incoming relationship edge) and unrolls the unique chain down to x.
+    // Root.  A root descendant step ('//x') selects every x element: the
+    // entity table itself — every row IS an x element — so the plan is a
+    // bare table scan with no joins at all.
     NodeCtx ctx;
     if (root_step.descendant) {
-        if (options.use_struct_index) {
-            const rel::TableSchema* target = entity_target(root_step.name);
-            ctx = {root_step.name, sql.alias(), target, "", ""};
-            sql.from = ctx.table->name + " " + ctx.alias;
-            interval_plan = true;
-            note("//" + root_step.name + ": entity table scan");
-        } else {
-            std::set<std::string> has_incoming;
-            for (const auto& [node, hops] : edges_) {
-                (void)node;
-                for (const Hop& hop : hops) has_incoming.insert(hop.to);
-            }
-            std::vector<std::pair<std::string, std::vector<const Hop*>>>
-                candidates;
-            bool exhausted = false;
-            for (const auto& [node, table] : node_tables_) {
-                if (table == nullptr || table->kind != rel::TableKind::kEntity)
-                    continue;
-                if (has_incoming.count(node) != 0) continue;
-                if (node == root_step.name) candidates.push_back({node, {}});
-                bool ex = false;
-                for (auto& p : find_descendant_paths(node, root_step.name, 2,
-                                                     &ex, options.cancel))
-                    candidates.push_back({node, std::move(p)});
-                exhausted = exhausted || ex;
-                if (candidates.size() > 1) break;
-            }
-            if (candidates.empty() && !exhausted)
-                throw QueryError("no relationship path to '" + root_step.name +
-                                 "' from any document root");
-            if (candidates.size() != 1 || exhausted)
-                throw QueryError(
-                    "'//" + root_step.name + "' has no unique join-chain "
-                    "expansion (structural index disabled)");
-            ctx = {candidates.front().first, sql.alias(),
-                   node_table(candidates.front().first), "", ""};
-            sql.from = ctx.table->name + " " + ctx.alias;
-            note("//" + root_step.name + ": legacy join chain (" +
-                 std::to_string(candidates.front().second.size()) +
-                 " hops from '" + ctx.node + "')");
-            ctx = emit_hops(ctx, candidates.front().second);
-        }
+        const rel::TableSchema* target = entity_target(root_step.name);
+        ctx = {root_step.name, sql.alias(), target, "", ""};
+        interval_plan = true;
+        note("//" + root_step.name + ": entity table scan");
     } else {
         ctx = {root_step.name, sql.alias(), node_table(root_step.name), "", ""};
-        sql.from = ctx.table->name + " " + ctx.alias;
     }
+    sql.from = ctx.table->name + " " + ctx.alias;
     apply_predicates(ctx, root_step);
 
     // Element steps.

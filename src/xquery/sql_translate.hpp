@@ -6,42 +6,27 @@
 // chain through NESTED / NESTED_GROUP / member-link tables; a step that was
 // distilled into an attribute column becomes a column access on its owner
 // table; predicates become WHERE conditions (existence predicates are
-// enforced by the inner joins themselves).  Positional predicates have no
-// relational equivalent here and raise QueryError — the documented
-// limitation the paper's metadata discussion anticipates.
+// enforced by the inner joins themselves).  A positional predicate counts
+// ord-predecessors over the NESTED table its step arrived through; where
+// there is none it raises QueryError — the documented limitation the
+// paper's metadata discussion anticipates.
 //
 // Descendant ('//') steps and [ancestor::name] predicates translate via
 // the structural (pre, post) interval labels (DESIGN.md §10): descendant
-// containment is a single range join instead of a join chain.  The legacy
-// expansion — unroll '//' into the unique NESTED join chain when one
-// exists — stays available behind TranslateOptions::use_struct_index for
-// differential testing and for schemas loaded without labels.
+// containment is a single range join, and a root '//x' is a bare scan of
+// x's entity table.  Translation reads only the mapping and the schema,
+// so a Translation never goes stale.
 #pragma once
 
 #include <map>
 #include <string>
 #include <vector>
 
-#include "common/cancel.hpp"
 #include "mapping/pipeline.hpp"
 #include "rel/schema.hpp"
 #include "xquery/query.hpp"
 
 namespace xr::xquery {
-
-/// Per-translation knobs (the query service exposes them per session).
-struct TranslateOptions {
-    /// Use the structural (pre, post) interval labels for '//' steps and
-    /// [ancestor::name] predicates.  When false, '//' falls back to the
-    /// legacy unique-join-chain expansion and ancestor predicates raise
-    /// QueryError — the pre-index behaviour, kept for differential tests.
-    bool use_struct_index = true;
-    /// Cooperative cancellation handle (DESIGN.md §11): polled inside the
-    /// legacy '//' chain-expansion DFS, whose fan-out on pathological
-    /// schemas is the one translation-time cost worth a deadline.  Does not
-    /// participate in plan-cache keys (an inert token is the default).
-    CancelToken cancel;
-};
 
 struct Translation {
     std::string sql;
@@ -70,8 +55,6 @@ public:
     /// Translate a parsed query; throws xr::QueryError when the query has
     /// no relational equivalent (unknown names, positional predicates).
     [[nodiscard]] Translation translate(const PathQuery& query) const;
-    [[nodiscard]] Translation translate(const PathQuery& query,
-                                        const TranslateOptions& options) const;
 
 private:
     struct Hop {
@@ -97,15 +80,6 @@ private:
 
     [[nodiscard]] std::vector<const Hop*> find_path(const std::string& from,
                                                     const std::string& to) const;
-    /// Exhaustive hop-path enumeration for the legacy '//' expansion:
-    /// element nodes may be intermediate (a descendant step skips levels).
-    /// Stops after `max_paths`; sets *exhausted when the search hit a cycle
-    /// or its expansion budget, in which case the result is a lower bound
-    /// and the caller must treat the step as untranslatable.  `cancel` is
-    /// polled every few DFS steps.
-    [[nodiscard]] std::vector<std::vector<const Hop*>> find_descendant_paths(
-        const std::string& from, const std::string& to, std::size_t max_paths,
-        bool* exhausted, const CancelToken& cancel) const;
 };
 
 }  // namespace xr::xquery

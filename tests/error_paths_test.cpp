@@ -257,18 +257,6 @@ TEST(QueryErrors, TranslatorNamesTheUntranslatablePiece) {
     } catch (const QueryError& e) {
         EXPECT_NE(std::string(e.what()).find("ghost"), std::string::npos);
     }
-    // Without the structural index an ancestor predicate is untranslatable,
-    // and the error says which machinery is missing.
-    xquery::TranslateOptions legacy;
-    legacy.use_struct_index = false;
-    try {
-        (void)tr.translate(
-            xquery::parse_query("/article/author[ancestor::article]"), legacy);
-        FAIL();
-    } catch (const QueryError& e) {
-        EXPECT_NE(std::string(e.what()).find("structural index"),
-                  std::string::npos);
-    }
 }
 
 TEST(RdbErrors, ConstraintMessagesNameTableAndColumn) {

@@ -70,19 +70,17 @@ TEST(Overload, QueueFullShedsWithTypedOverloaded) {
     // the never-started tasks are dropped at service destruction.
 }
 
-// An already-expired deadline terminates a legacy ('//' join chain) path
-// query with DeadlineExceeded before any row is produced, and a healthy
-// query on the same service is unaffected — a dead query never blocks
-// the pool.
-TEST(Overload, DeadlineExpiresLegacyChainQuery) {
+// An already-expired deadline terminates a descendant ('//') path query
+// with DeadlineExceeded before any row is produced, and a healthy query
+// on the same service is unaffected — a dead query never blocks the pool.
+TEST(Overload, DeadlineExpiresDescendantQuery) {
     Stack stack(gen::paper_dtd());
     auto corpus = gen::bibliography_corpus(8, 60, 11);
     for (auto& doc : corpus) stack.loader->load(*doc);
 
     query::ServiceOptions opts;
     opts.threads = 2;
-    opts.use_struct_index = false;  // legacy join-chain translation
-    opts.result_cache_bytes = 0;    // always execute, never serve cached
+    opts.result_cache_bytes = 0;  // always execute, never serve cached
     query::QueryService service(stack.db, stack.mapping, stack.schema, opts);
 
     CancelToken dead = CancelToken::make(
@@ -334,20 +332,20 @@ TEST(Overload, StatsExactUnderConcurrentShedding) {
     EXPECT_LE(st.overload.queue_high_water, 4u);
 }
 
-// Cancellation reaches translation too: with the structural index off,
-// the legacy '//' chain-expansion DFS polls the token, so even a query
-// that would explode at *translation* time respects its deadline.
+// A dead query is refused before translation: the service checks the
+// token ahead of the plan-cache lookup, so a cancelled query neither
+// translates nor touches the cache counters.
 TEST(Overload, TranslationHonoursCancelToken) {
     Stack stack(gen::paper_dtd());
     query::ServiceOptions opts;
     opts.threads = 0;
-    opts.use_struct_index = false;
-    opts.plan_cache_entries = 0;  // force real translation every time
     query::QueryService service(stack.db, stack.mapping, stack.schema, opts);
 
     CancelToken cancelled = CancelToken::make();
     cancelled.request_cancel();
     EXPECT_THROW((void)service.path("//author", cancelled), QueryCancelled);
+    xquery::PlanCacheStats plans = service.stats().plan_cache;
+    EXPECT_EQ(plans.hits + plans.misses, 0u);
 }
 
 }  // namespace

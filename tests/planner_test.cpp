@@ -1,8 +1,8 @@
 // Cost-based planner (DESIGN.md §13): the KMV distinct-count sketch,
 // incremental vs full-rebuild statistics, epoch bumps, persistence of
 // the xrel_stats catalog through snapshot + WAL recovery, golden plan
-// shapes from plan_select(), planner-on/off result equivalence, plan
-// cache invalidation by statistics epoch, and the query-service toggle.
+// shapes from plan_select(), planner-on/off result equivalence, and
+// translation-cache entries that outlive a statistics rebuild.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,8 +19,6 @@
 #include "sql/parser.hpp"
 #include "sql/planner.hpp"
 #include "xml/parser.hpp"
-#include "xquery/plan_cache.hpp"
-#include "xquery/query.hpp"
 #include "xquery/sql_translate.hpp"
 
 namespace xr {
@@ -284,46 +282,27 @@ TEST(PlannerStats, SurviveCheckpointRecovery) {
     EXPECT_EQ(st.columns.back().ndv(), name_ndv);
 }
 
-TEST(PlannerCache, TranslationCacheKeyedByEpoch) {
-    test::Stack stack(gen::paper_dtd());
-    xquery::SqlTranslator translator(stack.mapping, stack.schema);
-    xquery::TranslationCache cache(translator, 8);
-    xquery::PathQuery q = xquery::parse_query("/article/author");
-    xquery::TranslateOptions opts;
-
-    (void)cache.get(q, opts, 0);
-    (void)cache.get(q, opts, 0);
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    // A bumped epoch must miss — stale plan shapes age out of the LRU.
-    (void)cache.get(q, opts, 1);
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.size(), 2u);
-}
-
-TEST(PlannerService, ToggleKeepsResultsAndSeparatesCacheKeys) {
+// Translation reads only the mapping and schema, and planning runs on
+// every execution, so new statistics must not evict cached translations:
+// a query translated before analyze() is a plan-cache hit after it, with
+// identical SQL.
+TEST(PlannerCache, TranslationSurvivesAnalyze) {
     test::Stack stack(gen::paper_dtd());
     auto doc = xml::parse_document(gen::paper_sample_document());
     stack.loader->load(*doc);
-    query::QueryService service(stack.db, stack.mapping, stack.schema);
-    EXPECT_TRUE(service.planner());
+    query::ServiceOptions opts;
+    opts.threads = 0;
+    query::QueryService service(stack.db, stack.mapping, stack.schema, opts);
 
     const std::string q = "/article/author[name/lastname = 'Smith']";
-    query::QueryService::Result on = service.path(q);
-    service.set_planner(false);
-    EXPECT_FALSE(service.planner());
-    // The "np:" key namespace means this is a fresh execution, not a
-    // cache hit against the planner-on entry.
-    query::QueryService::Result off = service.path(q);
-    EXPECT_EQ(service.stats().result_cache.hits, 0u);
-    ASSERT_EQ(on->row_count(), off->row_count());
-    for (std::size_t i = 0; i < on->row_count(); ++i)
-        for (std::size_t c = 0; c < on->rows[i].size(); ++c)
-            EXPECT_EQ(on->rows[i][c].to_string(),
-                      off->rows[i][c].to_string());
-    service.set_planner(true);
-    (void)service.path(q);  // back on: hits the original cache entry
-    EXPECT_EQ(service.stats().result_cache.hits, 1u);
+    xquery::Translation before = service.translate(q);
+    std::uint64_t epoch = stack.db.stats_epoch();
+    stack.db.analyze();
+    ASSERT_GT(stack.db.stats_epoch(), epoch);
+    xquery::Translation after = service.translate(q);
+    EXPECT_EQ(after.sql, before.sql);
+    EXPECT_EQ(service.stats().plan_cache.hits, 1u);
+    EXPECT_EQ(service.stats().plan_cache.misses, 1u);
 }
 
 }  // namespace

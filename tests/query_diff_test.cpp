@@ -10,14 +10,11 @@
 // counted; the paper documents those limitations (positional predicates,
 // wildcards).
 //
-// Descendant ('//') steps and [ancestor::name] predicates get a THREE-way
-// oracle: the structural interval plan (DESIGN.md §10), the DOM, and —
-// when it exists — the legacy join-chain expansion, each required to
-// agree.  Legacy legs that are untranslatable (ambiguous chains) are
-// fine; the interval plan is the one that must always work.  A sampled
-// planner-off leg re-executes queries with the cost-based join reorder
-// (DESIGN.md §13) disabled, so planned and as-written orders are both
-// held to the DOM's answer.
+// Descendant ('//') steps and [ancestor::name] predicates translate to
+// structural interval plans (DESIGN.md §10), held to the DOM's answer
+// like every other query.  A sampled planner-off leg re-executes queries
+// on a read snapshot with the cost-based join reorder (DESIGN.md §13)
+// disabled, so planned and as-written orders both answer to the DOM.
 //
 // Replayable: the base seed prints at the start of the run and every
 // divergence reports the DTD seed plus the exact query text.  Override
@@ -42,6 +39,8 @@
 #include "query/service.hpp"
 #include "rdb/integrity.hpp"
 #include "rdb/snapshot.hpp"
+#include "sql/executor.hpp"
+#include "sql/planner.hpp"
 #include "xquery/dom_eval.hpp"
 #include "xquery/query.hpp"
 
@@ -309,7 +308,6 @@ TEST(QueryDiffFuzz, SqlAndDomNeverDiverge) {
     std::uint64_t skipped = 0;
     std::uint64_t attempts = 0;
     std::uint64_t interval_plans = 0;
-    std::uint64_t legacy_runs = 0;
     std::uint64_t planner_off_runs = 0;
     while (compared < target) {
         ASSERT_LT(attempts, target * 20)
@@ -331,43 +329,29 @@ TEST(QueryDiffFuzz, SqlAndDomNeverDiverge) {
         expect_agreement(w.views, text, t, *rs);
         if (::testing::Test::HasFailure()) break;
         ++compared;
+        if (t.interval_plan) ++interval_plans;
         // Planner-off oracle: the cost-based pass may have reordered the
-        // translated joins; re-running with the planner disabled (every
-        // third query — it is the same SQL, so sample) must agree with
-        // the DOM too.  The "np:" result-cache namespace guarantees this
-        // is a genuine re-execution, not a cache hit on the planned run.
+        // translated joins; re-running the same SQL as written (every
+        // third query — sample) on a fresh read snapshot must agree with
+        // the DOM too.  It bypasses the service, so it is a genuine
+        // re-execution, never a result-cache hit on the planned run.
         if (attempts % 3 == 0) {
-            w.service->set_planner(false);
-            query::QueryService::Result np_rs = w.service->path(text);
+            sql::PlannerOptions as_written;
+            as_written.enable = false;
+            rdb::ReadSnapshot snapshot = w.stack->db.read_snapshot();
+            sql::ResultSet np_rs = sql::execute_read(
+                snapshot.view(), t.sql, nullptr, {}, &as_written);
             ++planner_off_runs;
-            expect_agreement(w.views, text, t, *np_rs);
-            w.service->set_planner(true);
+            expect_agreement(w.views, text, t, np_rs);
             if (::testing::Test::HasFailure()) break;
         }
-        // Halfway through, rebuild one world's statistics: the epoch bump
-        // must re-key cached plans, never corrupt in-flight serving.
+        // Halfway through, rebuild one world's statistics: new statistics
+        // must never corrupt in-flight serving or the cached translations.
         if (compared == target / 2) w.stack->db.analyze();
-        if (!t.interval_plan) continue;
-        // Third leg: the legacy join-chain expansion, when one exists,
-        // must agree with the interval plan (and hence with the DOM).
-        ++interval_plans;
-        w.service->set_struct_index(false);
-        try {
-            Translation legacy = w.service->translate(text);
-            EXPECT_FALSE(legacy.interval_plan) << text;
-            query::QueryService::Result legacy_rs = w.service->path(text);
-            ++legacy_runs;
-            expect_agreement(w.views, text, legacy, *legacy_rs);
-        } catch (const QueryError&) {
-            // No unique chain (or an ancestor predicate) — DOM-only there.
-        }
-        w.service->set_struct_index(true);
-        if (::testing::Test::HasFailure()) break;
     }
     EXPECT_GE(compared, target);
     // The '//' / [ancestor::] generation must actually exercise interval
-    // plans, and a healthy share must also have a legacy expansion so the
-    // three-way oracle has teeth.
+    // plans.
     EXPECT_GT(interval_plans, target / 20);
     // Generation walks real content-model edges, so most queries must
     // translate; a skip-dominated run means the generator regressed.
@@ -375,8 +359,7 @@ TEST(QueryDiffFuzz, SqlAndDomNeverDiverge) {
         << compared << " compared vs " << skipped << " skipped";
     EXPECT_GT(planner_off_runs, 0u);
     std::cout << "[query-diff] " << compared << " agreements ("
-              << interval_plans << " interval plans, " << legacy_runs
-              << " with a legacy leg, " << planner_off_runs
+              << interval_plans << " interval plans, " << planner_off_runs
               << " planner-off), " << skipped
               << " untranslatable (skipped), across " << worlds.size()
               << " random DTDs\n";
@@ -385,7 +368,7 @@ TEST(QueryDiffFuzz, SqlAndDomNeverDiverge) {
     // check the serving layer actually sat in the compared path.
     std::uint64_t served = 0;
     for (const auto& w : worlds) served += w->service->stats().path_queries;
-    EXPECT_EQ(served, compared + legacy_runs + planner_off_runs);
+    EXPECT_EQ(served, compared);
 }
 
 // MVCC churn leg (DESIGN.md §15): the differential oracle must hold

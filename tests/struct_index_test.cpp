@@ -1,8 +1,8 @@
 // Structural interval indexing (DESIGN.md §10): Dietz (pre, post, level)
 // label assignment, the ordered pre index and its range scans, interval
-// plan selection and the legacy fallback, label equivalence between the
-// serial and bulk loaders, gap tolerance across fault paths, and label /
-// index survival through snapshot + WAL recovery.
+// plan selection, label equivalence between the serial and bulk loaders,
+// gap tolerance across fault paths, and label / index survival through
+// snapshot + WAL recovery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -178,20 +178,10 @@ TEST(StructIndex, DescendantPicksIntervalPlanWhenLabelsExist) {
     EXPECT_NE(t.sql.find(".pre"), std::string::npos) << t.sql;
     EXPECT_NE(t.plan_notes.find("interval"), std::string::npos);
 
-    // The legacy expansion unrolls the same step into the navigational
-    // chain; both must agree with each other and with the DOM.
-    xquery::TranslateOptions legacy;
-    legacy.use_struct_index = false;
-    xquery::Translation lt =
-        tr.translate(xquery::parse_query("/article//author"), legacy);
-    EXPECT_FALSE(lt.interval_plan);
-    EXPECT_GT(lt.join_count, t.join_count);
-
     std::size_t dom = xquery::evaluate(views, xquery::parse_query(
                                                   "/article//author"))
                           .size();
     EXPECT_EQ(sql::execute(stack.db, t.sql).row_count(), dom);
-    EXPECT_EQ(sql::execute(stack.db, lt.sql).row_count(), dom);
 }
 
 TEST(StructIndex, AncestorPredicateTranslatesViaIntervals) {
@@ -208,13 +198,9 @@ TEST(StructIndex, AncestorPredicateTranslatesViaIntervals) {
     EXPECT_TRUE(t.interval_plan);
     EXPECT_EQ(sql::execute(stack.db, t.sql).row_count(),
               xquery::evaluate(views, q).size());
-
-    xquery::TranslateOptions legacy;
-    legacy.use_struct_index = false;
-    EXPECT_THROW(tr.translate(q, legacy), QueryError);
 }
 
-TEST(StructIndex, ServiceToggleSwitchesPlansAndCountsRangeScans) {
+TEST(StructIndex, ServiceServesIntervalPlansAndCountsRangeScans) {
     Stack stack(gen::paper_dtd());
     auto corpus = gen::bibliography_corpus(6, 120, 37);
     for (auto& doc : corpus) stack.loader->load(*doc);
@@ -226,19 +212,8 @@ TEST(StructIndex, ServiceToggleSwitchesPlansAndCountsRangeScans) {
 
     xquery::Translation t = service.translate("/article//author");
     EXPECT_TRUE(t.interval_plan);
-    auto rs = service.path("/article//author");
+    EXPECT_GT(service.path("/article//author")->row_count(), 0u);
     EXPECT_GT(service.stats().exec.range_scans.load(), 0u);
-
-    service.set_struct_index(false);
-    EXPECT_FALSE(service.struct_index());
-    xquery::Translation lt = service.translate("/article//author");
-    EXPECT_FALSE(lt.interval_plan);
-    EXPECT_NE(lt.sql, t.sql);
-    EXPECT_EQ(service.path("/article//author")->row_count(), rs->row_count());
-
-    // Flipping back serves the interval plan again (distinct cache keys).
-    service.set_struct_index(true);
-    EXPECT_TRUE(service.translate("/article//author").interval_plan);
 }
 
 // -- fault paths -------------------------------------------------------------
