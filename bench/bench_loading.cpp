@@ -18,6 +18,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -270,13 +271,54 @@ struct BenchDir {
     }
 };
 
+/// The larger durability leg: cold recovery of a WAL-only directory, then
+/// a checkpoint of the recovered state.
+struct LargeLeg {
+    std::uint64_t records = 0;  ///< WAL records replayed
+    double recover_ms = 0;
+    rdb::SnapshotStats checkpoint;
+};
+
+/// Load `docs` documents of `elems` elements into a WAL-only directory,
+/// then time a strict open() that replays every record, and checkpoint.
+/// The load commits without fsync: the records are the same, only faster
+/// to produce.
+LargeLeg time_large_leg(std::size_t docs, std::size_t elems) {
+    bench::Corpus corpus = bench::Corpus::bibliography(docs, elems);
+    BenchDir dir;
+    {
+        rdb::Database db;
+        bench::Stack proto(gen::paper_dtd());
+        rdb::DurabilityOptions dopts;
+        dopts.sync_on_commit = false;
+        db.open(dir.path, dopts);
+        rel::materialize(proto.schema, proto.mapping, db);
+        loader::Loader loader(proto.logical, proto.mapping, proto.schema, db);
+        for (auto& doc : corpus.docs) {
+            loader::LoadOptions options;
+            options.validate = false;
+            loader.load(*doc, options);
+        }
+    }
+    LargeLeg leg;
+    rdb::Database db;
+    auto t0 = Clock::now();
+    leg.records = db.open(dir.path).records_replayed;
+    leg.recover_ms = seconds_since(t0) * 1e3;
+    leg.checkpoint = db.checkpoint();
+    return leg;
+}
+
 // === durability: what the WAL costs and what recovery buys back =============
 //
 // Loads one corpus three ways (in-memory, WAL per-commit fsync, no-WAL
 // with a single final snapshot), then times a cold recovery of the
-// WAL-backed directory and a checkpoint of the recovered state.  The
-// derived figures — WAL append throughput, snapshot write MB/s, recovery
-// ms per 10k records — land in BENCH_durability.json.
+// WAL-backed directory and a checkpoint of the recovered state, phase
+// by phase.  A second WAL-only corpus, 15 times larger (about 100k WAL
+// records), shows how recovery and the checkpoint phases scale.  The
+// derived figures — WAL append throughput, snapshot write MB/s,
+// checkpoint phases, recovery ms per 10k records at both sizes — land
+// in BENCH_durability.json.
 void print_durability_report() {
     std::cout << "=== durability: WAL / snapshot / recovery cost ===\n";
     constexpr std::size_t kDocs = 64, kElems = 400;
@@ -361,7 +403,7 @@ void print_durability_report() {
     // Cold recovery of the WAL-backed directory, then a checkpoint of the
     // recovered state for the snapshot-write rate, then a full online
     // verify() pass over the recovered database.
-    double recover_s, snap_write_s, verify_s;
+    double recover_s, verify_s;
     rdb::RecoveryReport recovery;
     rdb::SnapshotStats snap;
     rdb::IntegrityReport integrity;
@@ -370,9 +412,7 @@ void print_durability_report() {
         auto t0 = Clock::now();
         recovery = db.open(wal_dir.path);
         recover_s = seconds_since(t0);
-        t0 = Clock::now();
         snap = db.checkpoint();
-        snap_write_s = seconds_since(t0);
         t0 = Clock::now();
         integrity = db.verify();
         verify_s = seconds_since(t0);
@@ -391,9 +431,16 @@ void print_durability_report() {
         salvage_s = seconds_since(t0);
     }
 
+    LargeLeg big = time_large_leg(kDocs * 15, kElems);
+    double big_per_10k =
+        big.records == 0 ? 0 : big.recover_ms / (big.records / 1e4);
+
     double wal_mb_s = wal_bytes / wal_s / 1e6;
     double wal_rec_s = recovery.records_replayed / wal_s;
-    double snap_mb_s = snap.bytes / snap_write_s / 1e6;
+    // Encoding plus the durable write; the verify and rotate phases that
+    // follow inside checkpoint() are reported on their own below.
+    double snap_mb_s =
+        snap.bytes / ((snap.serialize_ms + snap.write_ms) / 1e3) / 1e6;
     double rec_per_10k = recovery.records_replayed == 0
                              ? 0
                              : recover_s * 1e3 /
@@ -406,7 +453,8 @@ void print_durability_report() {
         {"load, no-WAL + final snapshot", format_double(corpus.total_elements / nowal_s / 1e3, 1) + " k elem/s"},
         {"WAL append throughput", format_double(wal_mb_s, 1) + " MB/s (" + format_double(wal_rec_s / 1e3, 1) + " k rec/s)"},
         {"snapshot write", format_double(snap_mb_s, 1) + " MB/s"},
-        {"recovery", format_double(rec_per_10k, 2) + " ms / 10k records"},
+        {"recovery", format_double(rec_per_10k, 2) + " ms / 10k records (" + std::to_string(recovery.records_replayed) + " records)"},
+        {"recovery, 15x corpus", format_double(big_per_10k, 2) + " ms / 10k records (" + std::to_string(big.records) + " records)"},
         {"verify (online check)", format_double(verify_s * 1e3, 2) + " ms (" + std::to_string(integrity.rows_checked) + " rows)"},
         {"salvage recovery", format_double(salvage_s * 1e3, 2) + " ms (" + std::to_string(salvage.salvage.docs_quarantined) + " doc(s) quarantined)"},
     };
@@ -416,6 +464,28 @@ void print_durability_report() {
     }
     std::cout << table.to_string() << "\n";
 
+    // Checkpoint phases, for the recovered state of both corpora.
+    TablePrinter phases({"checkpoint", "MB", "serialize ms", "write+fsync ms",
+                         "verify ms", "rotate ms"});
+    auto phase_row = [&](const std::string& what, const rdb::SnapshotStats& s) {
+        phases.add_row({what, format_double(s.bytes / 1e6, 2),
+                        format_double(s.serialize_ms, 2),
+                        format_double(s.write_ms, 2),
+                        format_double(s.verify_ms, 2),
+                        format_double(s.rotate_ms, 2)});
+    };
+    phase_row("corpus", snap);
+    phase_row("15x corpus", big.checkpoint);
+    std::cout << phases.to_string() << "\n";
+
+    auto phase_json = [](const rdb::SnapshotStats& s) {
+        std::ostringstream o;
+        o << "{\"bytes\": " << s.bytes << ", \"serialize_ms\": "
+          << s.serialize_ms << ", \"write_ms\": " << s.write_ms
+          << ", \"verify_ms\": " << s.verify_ms
+          << ", \"rotate_ms\": " << s.rotate_ms << "}";
+        return o.str();
+    };
     std::ofstream out("BENCH_durability.json");
     out << "{\n"
         << "  \"corpus_docs\": " << kDocs << ",\n"
@@ -436,6 +506,12 @@ void print_durability_report() {
         << "  \"recovery_ms\": " << recover_s * 1e3 << ",\n"
         << "  \"recovery_rows_restored\": " << recovery.rows_restored << ",\n"
         << "  \"recovery_ms_per_10k_records\": " << rec_per_10k << ",\n"
+        << "  \"recovery_large_wal_records\": " << big.records << ",\n"
+        << "  \"recovery_large_ms\": " << big.recover_ms << ",\n"
+        << "  \"recovery_large_ms_per_10k_records\": " << big_per_10k
+        << ",\n"
+        << "  \"checkpoint\": " << phase_json(snap) << ",\n"
+        << "  \"checkpoint_large\": " << phase_json(big.checkpoint) << ",\n"
         << "  \"recovery\": {\n"
         << "    \"strict_ms\": " << recover_s * 1e3 << ",\n"
         << "    \"verify_ms\": " << verify_s * 1e3 << ",\n"

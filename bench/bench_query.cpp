@@ -510,7 +510,10 @@ std::vector<OverloadRecord> overload_sweep(Loaded& loaded,
         opts.default_deadline = std::chrono::milliseconds(20);
         query::QueryService service(loaded.stack.db, loaded.stack.mapping,
                                     loaded.stack.schema, opts);
-        for (const auto& q : workload) (void)service.path(q);
+        // Warm up with an inert token: the 20 ms default deadline is for
+        // the sweep, and a slow cold query on a busy host must not abort
+        // the bench with DeadlineExceeded.
+        for (const auto& q : workload) (void)service.path(q, CancelToken{});
 
         std::size_t clients = kWorkers * mult;
         std::vector<std::vector<double>> lats(clients);

@@ -22,6 +22,7 @@ std::string g_point;
 long g_countdown = 0;
 bool g_abort = false;
 long g_fires_left = 0;
+std::function<void()> g_action;  ///< run instead of throwing, when set
 std::atomic<long> g_hits{0};
 std::atomic<bool> g_fired{false};
 
@@ -66,8 +67,10 @@ const std::vector<std::string_view>& known_points() {
     return kPoints;
 }
 
-bool arm(std::string_view point, long countdown, bool abort_instead,
-         long fires) {
+namespace {
+
+bool arm_with(std::string_view point, long countdown, bool abort_instead,
+              long fires, std::function<void()> action) {
     const auto& known = known_points();
     if (std::find(known.begin(), known.end(), point) == known.end()) {
         std::string names;
@@ -83,6 +86,7 @@ bool arm(std::string_view point, long countdown, bool abort_instead,
         // A rejected arm still clears any previous arming: the caller
         // asked for a fresh fault state and must not inherit a stale one.
         std::scoped_lock lock(g_mutex);
+        g_action = nullptr;
         g_hits.store(0, std::memory_order_relaxed);
         g_fired.store(false, std::memory_order_relaxed);
         detail::g_armed.store(false, std::memory_order_release);
@@ -90,6 +94,7 @@ bool arm(std::string_view point, long countdown, bool abort_instead,
     }
     std::scoped_lock lock(g_mutex);
     g_point = point;
+    g_action = std::move(action);
     g_countdown = countdown < 1 ? 1 : countdown;
     g_abort = abort_instead;
     g_fires_left = fires < 1 ? 1 : fires;
@@ -99,8 +104,20 @@ bool arm(std::string_view point, long countdown, bool abort_instead,
     return true;
 }
 
+}  // namespace
+
+bool arm(std::string_view point, long countdown, bool abort_instead,
+         long fires) {
+    return arm_with(point, countdown, abort_instead, fires, nullptr);
+}
+
+bool arm_action(std::string_view point, std::function<void()> action) {
+    return arm_with(point, 1, false, 1, std::move(action));
+}
+
 void disarm() {
     std::scoped_lock lock(g_mutex);
+    g_action = nullptr;
     detail::g_armed.store(false, std::memory_order_release);
 }
 
@@ -127,6 +144,13 @@ void hit(const char* point) {
         g_armed.store(false, std::memory_order_release);
     }
     g_fired.store(true, std::memory_order_release);
+    if (g_action) {
+        std::function<void()> action = std::move(g_action);
+        g_action = nullptr;
+        lock.unlock();
+        action();
+        return;
+    }
     if (g_abort) std::abort();
     std::string message = "injected fault at '" + g_point + "'";
     lock.unlock();

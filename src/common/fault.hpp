@@ -41,6 +41,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -81,6 +82,12 @@ inline void maybe_fail(const char* point) {
 /// the point was armed.
 bool arm(std::string_view point, long countdown = 1, bool abort_instead = false,
          long fires = 1);
+
+/// Arm `point` to run `action` on its next hit instead of throwing
+/// (one-shot).  Models a fault that changes state rather than failing
+/// the call, e.g. a disk that returns other bytes than were written.
+/// Same name check and return value as arm().
+bool arm_action(std::string_view point, std::function<void()> action);
 
 /// Every fault-point name compiled into the binary (the catalogue
 /// above), sorted.  arm() accepts exactly these.

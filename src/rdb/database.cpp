@@ -1,6 +1,7 @@
 #include "rdb/database.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <mutex>
@@ -14,6 +15,17 @@
 namespace xr::rdb {
 
 namespace fs = std::filesystem;
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+        .count();
+}
+
+}  // namespace
 
 const Table& DatabaseVersion::require(std::string_view name) const {
     const Table* t = table(name);
@@ -407,53 +419,51 @@ SnapshotStats Database::checkpoint() {
 
     std::uint64_t next_seq = wal_seq_ + 1;
     const std::string snap_path = snapshot_file(dir_, next_seq);
-    SnapshotStats stats = write_snapshot(*this, snap_path);
+    SnapshotStats stats =
+        write_snapshot(*this, snap_path, last_snapshot_bytes_);
 
-    if (dopts_.verify_checkpoints) {
-        // Read the image back before the WAL rotates: a snapshot that
-        // cannot be re-read (disk fault, write-path bug) must not become
-        // the recovery chain's new base.  On failure the file is removed
-        // and the previous snapshot + WAL stay authoritative.
-        try {
-            fault::maybe_fail("snapshot.verify");
-            Database check;
-            check.scratch_ = true;
-            xr::rdb::read_snapshot(snap_path, check);
-            if (check.tables_.size() != tables_.size())
-                throw CorruptionError(
-                    "checkpoint verification: snapshot holds " +
-                        std::to_string(check.tables_.size()) +
-                        " table(s), database has " +
-                        std::to_string(tables_.size()),
-                    snap_path, 0, "verify");
-            for (auto& t : tables_) {
-                const Table* c = check.table(t->def().name);
-                if (c == nullptr)
-                    throw CorruptionError("checkpoint verification: table '" +
-                                              t->def().name +
-                                              "' missing from the snapshot",
-                                          snap_path, 0, "verify");
-                if (c->row_count() != t->row_count())
-                    throw CorruptionError(
-                        "checkpoint verification: table '" + t->def().name +
-                            "' has " + std::to_string(c->row_count()) +
-                            " row(s) in the snapshot, " +
-                            std::to_string(t->row_count()) + " in memory",
-                        snap_path, 0, "verify");
-                if (c->peek_next_pk() != t->peek_next_pk())
-                    throw CorruptionError(
-                        "checkpoint verification: table '" + t->def().name +
-                            "' pk counter disagrees with the snapshot",
-                        snap_path, 0, "verify");
-            }
-        } catch (...) {
-            std::error_code ec;
-            fs::remove(snap_path, ec);
-            throw;
+    // Check the image before the WAL rotates: a snapshot that cannot be
+    // re-read (disk fault, write-path bug) must not become the recovery
+    // chain's new base.  The check decodes the file with every rule
+    // recovery applies but builds nothing, then holds it against memory.
+    // On failure the file is removed and the previous snapshot + WAL stay
+    // authoritative.
+    auto t0 = Clock::now();
+    try {
+        fault::maybe_fail("snapshot.verify");
+        std::vector<SnapshotTable> image = check_snapshot(snap_path);
+        auto fail = [&](const std::string& what) {
+            throw CorruptionError("checkpoint verification: " + what,
+                                  snap_path, 0, "verify");
+        };
+        if (image.size() != tables_.size())
+            fail("snapshot holds " + std::to_string(image.size()) +
+                 " table(s), database has " + std::to_string(tables_.size()));
+        for (auto& t : tables_) {
+            const std::string& name = t->def().name;
+            auto it = std::find_if(
+                image.begin(), image.end(),
+                [&](const SnapshotTable& s) { return s.name == name; });
+            if (it == image.end())
+                fail("table '" + name + "' missing from the snapshot");
+            if (it->rows != t->row_count())
+                fail("table '" + name + "' has " + std::to_string(it->rows) +
+                     " row(s) in the snapshot, " +
+                     std::to_string(t->row_count()) + " in memory");
+            if (it->next_pk != t->peek_next_pk())
+                fail("table '" + name +
+                     "' pk counter disagrees with the snapshot");
         }
+    } catch (...) {
+        std::error_code ec;
+        fs::remove(snap_path, ec);
+        throw;
     }
+    stats.verify_ms = ms_since(t0);
+
     // The snapshot is durable under its real name; rotate the WAL so the
     // new segment starts exactly at the image it chains from.
+    t0 = Clock::now();
     if (wal_ != nullptr) {
         for (auto& t : tables_) t->set_mutation_log(nullptr);
         wal_.reset();
@@ -462,6 +472,8 @@ SnapshotStats Database::checkpoint() {
         for (auto& t : tables_) t->set_mutation_log(wal_.get());
     }
     wal_seq_ = next_seq;
+    last_snapshot_bytes_ = stats.bytes;
+    stats.rotate_ms = ms_since(t0);
     return stats;
 }
 

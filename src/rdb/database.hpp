@@ -73,11 +73,6 @@ struct DurabilityOptions {
     bool sync_on_commit = true;
     /// Strict (fail on damage) or salvage (repair, quarantine, report).
     RecoveryMode recovery = RecoveryMode::kStrict;
-    /// checkpoint() re-reads the snapshot it just wrote before rotating
-    /// the WAL: a checkpoint that cannot be read back must not become
-    /// the recovery chain's new base.  Costs one extra read of the
-    /// image; disable only in benchmarks.
-    bool verify_checkpoints = true;
 };
 
 /// What the salvage path dropped and repaired; embedded in
@@ -269,12 +264,14 @@ public:
                         const DurabilityOptions& opts = {});
 
     /// Write a fresh snapshot and start a new WAL segment.  Requires an
-    /// open() data directory and no open load unit.  Unless
-    /// DurabilityOptions::verify_checkpoints is off, the snapshot is
-    /// re-read and cross-checked (table/row/pk-counter agreement)
-    /// *before* the WAL rotates — a checkpoint that cannot be read back
-    /// is deleted and the previous snapshot + WAL remain authoritative.
-    /// Fault point: `snapshot.verify` before the verification read.
+    /// open() data directory and no open load unit.  The snapshot is
+    /// always re-read from disk and checked *before* the WAL rotates:
+    /// check_snapshot() decodes it with every rule recovery would apply,
+    /// and its tables, row counts and pk counters must equal the ones
+    /// in memory.  A checkpoint that fails the check is deleted and the
+    /// previous snapshot + WAL remain authoritative.  The returned stats
+    /// carry the time of each phase.  Fault point: `snapshot.verify`
+    /// before the verification read.
     /// Holds the writer mutex (no logical change, so no new epoch is
     /// published); concurrent readers keep flowing on pinned versions.
     SnapshotStats checkpoint();
@@ -407,9 +404,9 @@ private:
     std::vector<ForeignKeyDef> fks_;
     bool bulk_ = false;
     std::size_t unit_depth_ = 0;
-    /// A recovery or verification scratch database, or this one while
-    /// open() recovers: no reader can see it, so publish_version() is a
-    /// no-op and open() publishes once at the end.
+    /// A recovery scratch database, or this one while open() recovers:
+    /// no reader can see it, so publish_version() is a no-op and open()
+    /// publishes once at the end.
     bool scratch_ = false;
 
     /// Tables dropped inside an open unit, until it resolves.
@@ -454,6 +451,8 @@ private:
     DurabilityOptions dopts_;
     std::uint64_t wal_seq_ = 0;
     std::unique_ptr<Wal> wal_;
+    /// Size of the last checkpoint image: the next one's buffer hint.
+    std::uint64_t last_snapshot_bytes_ = 0;
 };
 
 }  // namespace xr::rdb

@@ -8,6 +8,7 @@
 // capped against the bytes actually present.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -21,28 +22,30 @@ namespace xr::rdb::serial {
 
 // -- writing ------------------------------------------------------------------
 
+// Fixed-width fields are copied with memcpy in host byte order, which is
+// the on-disk little-endian order only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "the snapshot and WAL encoders assume a little-endian host");
+
 inline void put_u8(std::string& out, std::uint8_t v) {
     out.push_back(static_cast<char>(v));
 }
 
-inline void put_u32(std::string& out, std::uint32_t v) {
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
+template <typename T>
+inline void put_fixed(std::string& out, T v) {
+    char bytes[sizeof(T)];
+    std::memcpy(bytes, &v, sizeof(T));
+    out.append(bytes, sizeof(T));
 }
 
-inline void put_u64(std::string& out, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((v >> (8 * i)) & 0xFFu));
-}
+inline void put_u32(std::string& out, std::uint32_t v) { put_fixed(out, v); }
+inline void put_u64(std::string& out, std::uint64_t v) { put_fixed(out, v); }
+inline void put_i64(std::string& out, std::int64_t v) { put_fixed(out, v); }
+inline void put_f64(std::string& out, double v) { put_fixed(out, v); }
 
-inline void put_i64(std::string& out, std::int64_t v) {
-    put_u64(out, static_cast<std::uint64_t>(v));
-}
-
-inline void put_f64(std::string& out, double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    put_u64(out, bits);
+/// Overwrite the u32 at `pos` (a length written before its payload).
+inline void patch_u32(std::string& out, std::size_t pos, std::uint32_t v) {
+    std::memcpy(out.data() + pos, &v, sizeof(v));
 }
 
 inline void put_string(std::string& out, std::string_view s) {
@@ -73,6 +76,13 @@ inline void put_value(std::string& out, const Value& v) {
 
 // -- reading ------------------------------------------------------------------
 
+/// The u32 at `pos`; the caller has checked that four bytes are there.
+inline std::uint32_t le32_at(std::string_view data, std::size_t pos) {
+    std::uint32_t v;
+    std::memcpy(&v, data.data() + pos, sizeof(v));
+    return v;
+}
+
 /// Bounds-checked cursor over an on-disk payload.  `context` names the
 /// artifact ("snapshot 'x'", "WAL record 12") for error messages; when
 /// the caller knows the containing file and the payload's byte offset in
@@ -97,41 +107,18 @@ public:
         return static_cast<std::uint8_t>(data_[pos_++]);
     }
 
-    std::uint32_t u32() {
-        need(4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(data_[pos_ + i]))
-                 << (8 * i);
-        pos_ += 4;
-        return v;
-    }
+    std::uint32_t u32() { return fixed<std::uint32_t>(); }
+    std::uint64_t u64() { return fixed<std::uint64_t>(); }
+    std::int64_t i64() { return fixed<std::int64_t>(); }
+    double f64() { return fixed<double>(); }
 
-    std::uint64_t u64() {
-        need(8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(data_[pos_ + i]))
-                 << (8 * i);
-        pos_ += 8;
-        return v;
-    }
+    std::string string() { return std::string(str_view()); }
 
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-    double f64() {
-        std::uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, sizeof(v));
-        return v;
-    }
-
-    std::string string() {
+    /// A length-prefixed string as a view into the payload (no copy).
+    std::string_view str_view() {
         std::uint32_t len = u32();
         need(len);
-        std::string s(data_.substr(pos_, len));
+        std::string_view s = data_.substr(pos_, len);
         pos_ += len;
         return s;
     }
@@ -142,6 +129,19 @@ public:
             case 1: return Value(i64());
             case 2: return Value(f64());
             case 3: return Value(string());
+            default: fail("unknown value type tag");
+        }
+    }
+
+    /// Decode one value's type tag and step over its payload without
+    /// building a Value, for decoders that only check.  An integer's
+    /// value is stored in `integer`.
+    ValueType skip_value(std::int64_t& integer) {
+        switch (u8()) {
+            case 0: return ValueType::kNull;
+            case 1: integer = i64(); return ValueType::kInteger;
+            case 2: (void)f64(); return ValueType::kReal;
+            case 3: (void)str_view(); return ValueType::kText;
             default: fail("unknown value type tag");
         }
     }
@@ -170,6 +170,15 @@ public:
     }
 
 private:
+    template <typename T>
+    T fixed() {
+        need(sizeof(T));
+        T v;
+        std::memcpy(&v, data_.data() + pos_, sizeof(T));
+        pos_ += sizeof(T);
+        return v;
+    }
+
     std::string_view data_;
     std::size_t pos_ = 0;
     std::string context_;

@@ -1,14 +1,15 @@
 #include "rdb/snapshot.hpp"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/checksum.hpp"
 #include "common/fault.hpp"
@@ -30,14 +31,29 @@ enum SectionType : std::uint8_t {
     kEndSection = 3,
 };
 
-void put_section(std::string& out, std::uint8_t type,
-                 const std::string& payload) {
+using Clock = std::chrono::steady_clock;
+
+double ms_since(Clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
+        .count();
+}
+
+/// Open a section frame at the end of `out`: the type byte and a length
+/// placeholder.  The payload is then encoded in place after it.
+std::size_t begin_section(std::string& out, std::uint8_t type) {
     std::size_t start = out.size();
     serial::put_u8(out, type);
-    serial::put_u32(out, static_cast<std::uint32_t>(payload.size()));
-    out.append(payload);
-    serial::put_u32(out, checksum::crc32(std::string_view(out).substr(
-                             start, 5 + payload.size())));
+    serial::put_u32(out, 0);
+    return start;
+}
+
+/// Close the frame opened at `start`: patch the payload length, then
+/// append the CRC over type + length + payload.
+void end_section(std::string& out, std::size_t start) {
+    serial::patch_u32(out, start + 1,
+                      static_cast<std::uint32_t>(out.size() - start - 5));
+    serial::put_u32(out,
+                    checksum::crc32(std::string_view(out).substr(start)));
 }
 
 /// fsync the directory containing `path` so the rename itself is durable.
@@ -50,15 +66,6 @@ void sync_parent_dir(const std::string& path) {
     ::close(fd);
 }
 
-std::uint32_t le32_at(std::string_view data, std::size_t pos) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(data[pos + i]))
-             << (8 * i);
-    return v;
-}
-
 /// True when a structurally valid, CRC-checked section frame with a
 /// known type starts at `pos`.
 bool section_frame_at(std::string_view data, std::size_t pos,
@@ -66,10 +73,10 @@ bool section_frame_at(std::string_view data, std::size_t pos,
     if (data.size() - pos < 9) return false;
     type = static_cast<std::uint8_t>(data[pos]);
     if (type < kTableSection || type > kEndSection) return false;
-    len = le32_at(data, pos + 1);
+    len = serial::le32_at(data, pos + 1);
     if (data.size() - pos < 9 + static_cast<std::size_t>(len)) return false;
     return checksum::crc32(data.substr(pos, 5 + len)) ==
-           le32_at(data, pos + 5 + len);
+           serial::le32_at(data, pos + 5 + len);
 }
 
 /// Salvage resynchronization: the offset of the next valid section
@@ -113,7 +120,8 @@ bool parse_seq(const std::string& name, const std::string& prefix,
     return true;
 }
 
-SnapshotStats write_snapshot(const Database& db, const std::string& path) {
+SnapshotStats write_snapshot(const Database& db, const std::string& path,
+                             std::size_t size_hint) {
     if (db.in_unit())
         throw SchemaError(
             "cannot write a snapshot while a load unit is open: '" + path +
@@ -121,43 +129,49 @@ SnapshotStats write_snapshot(const Database& db, const std::string& path) {
     fault::maybe_fail("snapshot.write");
 
     SnapshotStats stats;
-    std::string image(kMagic, sizeof(kMagic));
+    auto t0 = Clock::now();
+    // Every section is encoded in place into one buffer.  The slack over
+    // the hint covers a database that grew since the image it came from:
+    // reallocating a multi-MB buffer midway costs more than the slack.
+    std::string image;
+    image.reserve(size_hint + size_hint / 8 + 4096);
+    image.append(kMagic, sizeof(kMagic));
     serial::put_u32(image, kVersion);
 
     for (const std::string& name : db.table_names()) {
         const Table& t = db.require(name);
-        std::string payload;
-        serial::put_table_def(payload, t.def());
-        serial::put_i64(payload, t.peek_next_pk());
+        std::size_t section = begin_section(image, kTableSection);
+        serial::put_table_def(image, t.def());
+        serial::put_i64(image, t.peek_next_pk());
         auto indexes = t.index_defs();
-        serial::put_u32(payload, static_cast<std::uint32_t>(indexes.size()));
+        serial::put_u32(image, static_cast<std::uint32_t>(indexes.size()));
         for (const Table::IndexDef& idx : indexes) {
-            serial::put_string(payload, idx.column);
-            serial::put_u8(payload, static_cast<std::uint8_t>(idx.kind));
+            serial::put_string(image, idx.column);
+            serial::put_u8(image, static_cast<std::uint8_t>(idx.kind));
         }
-        serial::put_u64(payload, t.row_count());
+        serial::put_u64(image, t.row_count());
         for (RowId id = 0; id < t.row_count(); ++id)
-            serial::put_row(payload, t.row(id));
-        put_section(image, kTableSection, payload);
+            serial::put_row(image, t.row(id));
+        end_section(image, section);
         ++stats.tables;
         stats.rows += t.row_count();
     }
 
-    {
-        std::string payload;
-        serial::put_u32(
-            payload, static_cast<std::uint32_t>(db.foreign_keys().size()));
-        for (const ForeignKeyDef& fk : db.foreign_keys()) {
-            serial::put_string(payload, fk.table);
-            serial::put_string(payload, fk.column);
-            serial::put_string(payload, fk.ref_table);
-            serial::put_string(payload, fk.ref_column);
-        }
-        put_section(image, kForeignKeySection, payload);
+    std::size_t section = begin_section(image, kForeignKeySection);
+    serial::put_u32(image,
+                    static_cast<std::uint32_t>(db.foreign_keys().size()));
+    for (const ForeignKeyDef& fk : db.foreign_keys()) {
+        serial::put_string(image, fk.table);
+        serial::put_string(image, fk.column);
+        serial::put_string(image, fk.ref_table);
+        serial::put_string(image, fk.ref_column);
     }
-    put_section(image, kEndSection, {});
+    end_section(image, section);
+    end_section(image, begin_section(image, kEndSection));
     stats.bytes = image.size();
+    stats.serialize_ms = ms_since(t0);
 
+    t0 = Clock::now();
     std::string tmp = path + ".tmp";
     int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0)
@@ -201,30 +215,194 @@ SnapshotStats write_snapshot(const Database& db, const std::string& path) {
                     "': " + ec.message());
     }
     sync_parent_dir(path);
+    stats.write_ms = ms_since(t0);
     return stats;
 }
 
 namespace {
 
-/// Shared strict/salvage reader.  `report == nullptr` is strict: the
-/// first damaged byte throws CorruptionError.  With a report, damaged
-/// or unappliable sections are dropped (resyncing on the next valid
-/// frame) and accounted.
-SnapshotStats read_snapshot_impl(const std::string& path, Database& db,
-                                 SalvageReport* report) {
-    const bool salvage = report != nullptr;
-    if (db.table_count() != 0)
-        throw SchemaError("read_snapshot requires an empty database");
-
+/// The whole file at `path`, in one buffer sized from fstat.
+std::string read_file(const std::string& path) {
+    int fd = ::open(path.c_str(), O_RDONLY);
+    if (fd < 0) throw Error("cannot open snapshot '" + path + "'");
+    struct stat st {};
     std::string data;
-    {
-        std::ifstream in(path, std::ios::binary);
-        if (!in)
-            throw Error("cannot open snapshot '" + path + "'");
-        std::ostringstream tmp;
-        tmp << in.rdbuf();
-        data = std::move(tmp).str();
+    if (::fstat(fd, &st) == 0 && st.st_size > 0)
+        data.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    for (;;) {
+        if (got == data.size()) data.resize(got + 4096 + got / 2);
+        ssize_t n = ::read(fd, data.data() + got, data.size() - got);
+        if (n < 0) {
+            if (errno == EINTR) continue;
+            int err = errno;
+            ::close(fd);
+            throw Error("cannot read snapshot '" + path +
+                        "': " + std::strerror(err));
+        }
+        if (n == 0) break;
+        got += static_cast<std::size_t>(n);
     }
+    ::close(fd);
+    data.resize(got);
+    return data;
+}
+
+/// A table section up to its rows: decoded the same way for apply and
+/// check.
+struct TableHeader {
+    TableDef def;
+    std::int64_t next_pk = 0;
+    std::vector<Table::IndexDef> indexes;
+    std::uint64_t rows = 0;
+};
+
+TableHeader read_table_header(serial::Reader& in) {
+    TableHeader h;
+    h.def = serial::read_table_def(in);
+    h.next_pk = in.i64();
+    std::uint32_t nindexes = in.u32();
+    // name-len(4) + kind byte per index definition
+    in.need_items(nindexes, 5, "index");
+    h.indexes.reserve(nindexes);
+    for (std::uint32_t i = 0; i < nindexes; ++i) {
+        Table::IndexDef idx;
+        idx.column = in.string();
+        std::uint8_t kind = in.u8();
+        if (kind > static_cast<std::uint8_t>(IndexKind::kOrdered))
+            in.fail("unknown index kind tag " + std::to_string(kind));
+        idx.kind = static_cast<IndexKind>(kind);
+        h.indexes.push_back(std::move(idx));
+    }
+    h.rows = in.u64();
+    in.need_items(h.rows, 4, "row");
+    return h;
+}
+
+void expect_end_of_rows(const serial::Reader& in) {
+    if (!in.at_end()) in.fail("trailing bytes after rows");
+}
+
+/// Recovery: builds every table (validated rows, pk B+tree, secondary
+/// indexes) and foreign key into `db`.
+class ApplySections {
+public:
+    ApplySections(Database& db, SalvageReport* report)
+        : db_(db), report_(report) {}
+
+    void table(serial::Reader& in, TableHeader h) {
+        const std::string name = h.def.name;
+        Table& t = db_.create_table(std::move(h.def));
+        try {
+            std::vector<Row> rows;
+            rows.reserve(h.rows);
+            for (std::uint64_t i = 0; i < h.rows; ++i)
+                rows.push_back(serial::read_row(in));
+            // Full per-row validation: a snapshot is not a trusted
+            // pipeline, it is bytes from a disk.
+            t.insert_batch(std::move(rows), /*validate_rows=*/true);
+            t.restore_next_pk(h.next_pk);
+            for (const Table::IndexDef& idx : h.indexes)
+                t.create_index(idx.column, idx.kind);
+            expect_end_of_rows(in);
+        } catch (...) {
+            // Never leave a half-restored table behind.
+            db_.drop_table(name);
+            throw;
+        }
+    }
+
+    void foreign_key(ForeignKeyDef fk, const std::string& section_ctx) {
+        if (report_ == nullptr) {
+            db_.add_foreign_key(std::move(fk));
+            return;
+        }
+        // A constraint on a dropped table is expected; keep the rest.
+        try {
+            db_.add_foreign_key(std::move(fk));
+        } catch (const Error& e) {
+            report_->notes.push_back(section_ctx + ": skipped foreign key: " +
+                                     e.bare_message());
+        }
+    }
+
+private:
+    Database& db_;
+    SalvageReport* report_;
+};
+
+/// Checkpoint verification: checks every table section against exactly
+/// the rules ApplySections enforces, but builds no Table, B+tree or
+/// Database.  Rows are decoded cell by cell and never materialized.
+class CheckSections {
+public:
+    void table(serial::Reader& in, const TableHeader& h) {
+        const TableDef& def = h.def;
+        for (const SnapshotTable& seen : tables_)
+            if (seen.name == def.name)
+                throw SchemaError("table '" + def.name + "' already exists");
+        const int pk = primary_key_column(def);
+        // Table::insert gives a NULL key the counter and keeps the counter
+        // above every key; while keys arrive in ascending order they are
+        // unique, otherwise a sort settles it.
+        std::int64_t next_pk = Table::kFirstPk;
+        bool ascending = true;
+        keys_.clear();
+        for (std::uint64_t r = 0; r < h.rows; ++r) {
+            std::uint32_t cells = in.u32();
+            in.need_items(cells, 1, "cell");
+            validate_arity(def, cells);
+            for (std::uint32_t c = 0; c < cells; ++c) {
+                std::int64_t integer = 0;
+                ValueType type = in.skip_value(integer);
+                validate_cell(def, pk, c, type);
+                if (static_cast<int>(c) != pk) continue;
+                std::int64_t key = type == ValueType::kNull ? next_pk : integer;
+                if (key < next_pk)
+                    ascending = false;
+                else
+                    next_pk = key + 1;
+                keys_.push_back(key);
+            }
+        }
+        if (!ascending) {
+            std::sort(keys_.begin(), keys_.end());
+            auto dup = std::adjacent_find(keys_.begin(), keys_.end());
+            if (dup != keys_.end())
+                throw SchemaError("duplicate primary key " +
+                                  std::to_string(*dup) + " in '" + def.name +
+                                  "'");
+        }
+        for (const Table::IndexDef& idx : h.indexes)
+            if (def.column_index(idx.column) < 0)
+                throw SchemaError("cannot index unknown column '" +
+                                  idx.column + "' in '" + def.name + "'");
+        expect_end_of_rows(in);
+        tables_.push_back({def.name, h.rows, h.next_pk});
+    }
+
+    void foreign_key(ForeignKeyDef, const std::string&) {}
+
+    [[nodiscard]] std::vector<SnapshotTable> take_tables() {
+        return std::move(tables_);
+    }
+
+private:
+    std::vector<SnapshotTable> tables_;
+    std::vector<std::int64_t> keys_;  ///< reused across tables
+};
+
+/// The section walker shared by every reader: header, framing, CRC and
+/// section tags, then `sections` decides what a table or foreign-key
+/// section does.  `report == nullptr` is strict: the first damaged byte
+/// throws CorruptionError.  With a report, damaged or unappliable
+/// sections are dropped (resyncing on the next valid frame) and
+/// accounted.
+template <typename Sections>
+SnapshotStats decode_snapshot(const std::string& path, Sections& sections,
+                              SalvageReport* report) {
+    const bool salvage = report != nullptr;
+    const std::string data = read_file(path);
     const std::string context = "snapshot '" + path + "'";
     // The header is non-negotiable even under salvage: without magic and
     // version this is not a snapshot, and "salvaging" an arbitrary file
@@ -233,7 +411,7 @@ SnapshotStats read_snapshot_impl(const std::string& path, Database& db,
         std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0)
         throw CorruptionError("bad magic (not a snapshot file)", path, 0,
                               "header");
-    if (std::uint32_t v = le32_at(data, sizeof(kMagic)); v != kVersion)
+    if (std::uint32_t v = serial::le32_at(data, sizeof(kMagic)); v != kVersion)
         throw CorruptionError("unsupported version " + std::to_string(v), path,
                               sizeof(kMagic), "header");
 
@@ -267,13 +445,13 @@ SnapshotStats read_snapshot_impl(const std::string& path, Database& db,
         if (left < 9) {
             damage = "truncated before the end marker";
         } else {
-            len = le32_at(data, pos + 1);
+            len = serial::le32_at(data, pos + 1);
             if (left < 9 + static_cast<std::size_t>(len))
                 damage = "truncated payload (header claims " +
                          std::to_string(len) + " bytes, " +
                          std::to_string(left - 9) + " present)";
             else if (checksum::crc32(std::string_view(data).substr(
-                         pos, 5 + len)) != le32_at(data, pos + 5 + len))
+                         pos, 5 + len)) != serial::le32_at(data, pos + 5 + len))
                 damage = "CRC mismatch — snapshot is corrupt";
             else if (type < kTableSection || type > kEndSection)
                 damage = "unknown section type " + std::to_string(type);
@@ -295,49 +473,11 @@ SnapshotStats read_snapshot_impl(const std::string& path, Database& db,
         try {
             switch (type) {
                 case kTableSection: {
-                    TableDef def = serial::read_table_def(in);
-                    const std::string tname = def.name;
-                    Table& t = db.create_table(std::move(def));
-                    try {
-                        std::int64_t next_pk = in.i64();
-                        std::uint32_t nindexes = in.u32();
-                        // name-len(4) + kind byte per index definition
-                        in.need_items(nindexes, 5, "index");
-                        std::vector<Table::IndexDef> indexes;
-                        indexes.reserve(nindexes);
-                        for (std::uint32_t i = 0; i < nindexes; ++i) {
-                            Table::IndexDef idx;
-                            idx.column = in.string();
-                            std::uint8_t kind = in.u8();
-                            if (kind >
-                                static_cast<std::uint8_t>(IndexKind::kOrdered))
-                                in.fail("unknown index kind tag " +
-                                        std::to_string(kind));
-                            idx.kind = static_cast<IndexKind>(kind);
-                            indexes.push_back(std::move(idx));
-                        }
-                        std::uint64_t nrows = in.u64();
-                        in.need_items(nrows, 4, "row");
-                        std::vector<Row> rows;
-                        rows.reserve(nrows);
-                        for (std::uint64_t i = 0; i < nrows; ++i)
-                            rows.push_back(serial::read_row(in));
-                        // Full per-row validation: a snapshot is not a
-                        // trusted pipeline, it is bytes from a disk.
-                        t.insert_batch(std::move(rows),
-                                       /*validate_rows=*/true);
-                        t.restore_next_pk(next_pk);
-                        for (const Table::IndexDef& idx : indexes)
-                            t.create_index(idx.column, idx.kind);
-                        if (!in.at_end())
-                            in.fail("trailing bytes after rows");
-                        ++stats.tables;
-                        stats.rows += nrows;
-                    } catch (...) {
-                        // Never leave a half-restored table behind.
-                        db.drop_table(tname);
-                        throw;
-                    }
+                    TableHeader h = read_table_header(in);
+                    std::uint64_t rows = h.rows;
+                    sections.table(in, std::move(h));
+                    ++stats.tables;
+                    stats.rows += rows;
                     break;
                 }
                 case kForeignKeySection: {
@@ -350,19 +490,7 @@ SnapshotStats read_snapshot_impl(const std::string& path, Database& db,
                         fk.column = in.string();
                         fk.ref_table = in.string();
                         fk.ref_column = in.string();
-                        if (salvage) {
-                            // A constraint on a dropped table is expected;
-                            // keep the rest.
-                            try {
-                                db.add_foreign_key(std::move(fk));
-                            } catch (const Error& e) {
-                                report->notes.push_back(
-                                    section_ctx + ": skipped foreign key: " +
-                                    e.bare_message());
-                            }
-                        } else {
-                            db.add_foreign_key(std::move(fk));
-                        }
+                        sections.foreign_key(std::move(fk), section_ctx);
                     }
                     break;
                 }
@@ -412,15 +540,29 @@ SnapshotStats read_snapshot_impl(const std::string& path, Database& db,
     return stats;
 }
 
+SnapshotStats read_snapshot_into(const std::string& path, Database& db,
+                                 SalvageReport* report) {
+    if (db.table_count() != 0)
+        throw SchemaError("read_snapshot requires an empty database");
+    ApplySections sections(db, report);
+    return decode_snapshot(path, sections, report);
+}
+
 }  // namespace
 
 SnapshotStats read_snapshot(const std::string& path, Database& db) {
-    return read_snapshot_impl(path, db, nullptr);
+    return read_snapshot_into(path, db, nullptr);
 }
 
 SnapshotStats read_snapshot_salvage(const std::string& path, Database& db,
                                     SalvageReport& report) {
-    return read_snapshot_impl(path, db, &report);
+    return read_snapshot_into(path, db, &report);
+}
+
+std::vector<SnapshotTable> check_snapshot(const std::string& path) {
+    CheckSections sections;
+    decode_snapshot(path, sections, nullptr);
+    return sections.take_tables();
 }
 
 }  // namespace xr::rdb

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 namespace xr::rdb {
 
@@ -38,13 +39,22 @@ struct SnapshotStats {
     std::size_t tables = 0;
     std::size_t rows = 0;
     std::uint64_t bytes = 0;
+    // Phase times in ms.  write_snapshot() fills the first two,
+    // Database::checkpoint() the last two; a reader leaves all at 0.
+    double serialize_ms = 0;  ///< encoding the image in memory
+    double write_ms = 0;      ///< write + fsync, rename, directory fsync
+    double verify_ms = 0;     ///< re-reading and checking the image
+    double rotate_ms = 0;     ///< closing the WAL segment, opening the next
 };
 
 /// Serialize `db` into an atomic, checksummed snapshot at `path`.
 /// Refuses while a load unit is open (an image of uncommitted state
-/// would poison replay).  Fault points: `snapshot.write` before the
-/// temp file is written, `snapshot.rename` before it moves into place.
-SnapshotStats write_snapshot(const Database& db, const std::string& path);
+/// would poison replay).  `size_hint` (e.g. the previous image's size)
+/// pre-sizes the encoding buffer.  Fault points: `snapshot.write`
+/// before the temp file is written, `snapshot.rename` before it moves
+/// into place.
+SnapshotStats write_snapshot(const Database& db, const std::string& path,
+                             std::size_t size_hint = 0);
 
 /// Load the snapshot at `path` into `db`, which must be empty.  Every
 /// section is CRC-verified before a byte of it is trusted, every count
@@ -62,5 +72,23 @@ SnapshotStats read_snapshot(const std::string& path, Database& db);
 /// an older snapshot.
 SnapshotStats read_snapshot_salvage(const std::string& path, Database& db,
                                     SalvageReport& report);
+
+/// One table as a snapshot records it.
+struct SnapshotTable {
+    std::string name;
+    std::uint64_t rows = 0;
+    std::int64_t next_pk = 0;  ///< the saved pk counter
+
+    bool operator==(const SnapshotTable&) const = default;
+};
+
+/// Decode-only strict check of the snapshot at `path`: accepts exactly
+/// the files read_snapshot() accepts, without building a table or an
+/// index.  Beyond the framing checks (magic, version, per-section CRC,
+/// section and type tags, end marker, no trailing bytes) it rejects a
+/// duplicate table name, an index on an unknown column, a row whose
+/// arity, cell types or NULLs its table refuses, and a duplicate primary
+/// key, each as xr::CorruptionError.  Returns the tables in file order.
+std::vector<SnapshotTable> check_snapshot(const std::string& path);
 
 }  // namespace xr::rdb

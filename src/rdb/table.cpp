@@ -64,21 +64,45 @@ RowStore RowStore::publish() {
     return out;
 }
 
+// -- row checks --------------------------------------------------------------
+
+int primary_key_column(const TableDef& def) {
+    int pk = -1;
+    for (std::size_t i = 0; i < def.columns.size(); ++i) {
+        if (!def.columns[i].primary_key) continue;
+        if (pk >= 0)
+            throw SchemaError("table '" + def.name +
+                              "' declares multiple primary keys");
+        if (def.columns[i].type != ValueType::kInteger)
+            throw SchemaError("primary key of '" + def.name +
+                              "' must be INTEGER");
+        pk = static_cast<int>(i);
+    }
+    return pk;
+}
+
+void throw_arity_mismatch(const TableDef& def, std::size_t cells) {
+    throw SchemaError("row arity " + std::to_string(cells) +
+                      " does not match table '" + def.name + "' (" +
+                      std::to_string(def.columns.size()) + " columns)");
+}
+
+void throw_cell_mismatch(const TableDef& def, std::size_t column,
+                         ValueType got) {
+    const ColumnDef& col = def.columns[column];
+    if (got == ValueType::kNull)
+        throw SchemaError("NULL in NOT NULL column '" + col.name + "' of '" +
+                          def.name + "'");
+    throw SchemaError("type mismatch in column '" + col.name + "' of '" +
+                      def.name + "': expected " +
+                      std::string(to_string(col.type)) + ", got " +
+                      std::string(to_string(got)));
+}
+
 // -- Table -------------------------------------------------------------------
 
-Table::Table(TableDef def) : def_(std::move(def)) {
-    for (std::size_t i = 0; i < def_.columns.size(); ++i) {
-        if (def_.columns[i].primary_key) {
-            if (pk_column_ >= 0)
-                throw SchemaError("table '" + def_.name +
-                                  "' declares multiple primary keys");
-            if (def_.columns[i].type != ValueType::kInteger)
-                throw SchemaError("primary key of '" + def_.name +
-                                  "' must be INTEGER");
-            pk_column_ = static_cast<int>(i);
-        }
-    }
-}
+Table::Table(TableDef def)
+    : def_(std::move(def)), pk_column_(primary_key_column(def_)) {}
 
 Table::Table(FrozenTag, Table& live) : def_(live.def_) {
     pk_column_ = live.pk_column_;
@@ -109,41 +133,9 @@ std::uint64_t Table::indexes_cowed() const {
 }
 
 void Table::validate(const Row& row) const {
-    if (row.size() != def_.columns.size())
-        throw SchemaError("row arity " + std::to_string(row.size()) +
-                          " does not match table '" + def_.name + "' (" +
-                          std::to_string(def_.columns.size()) + " columns)");
-    for (std::size_t i = 0; i < row.size(); ++i) {
-        const ColumnDef& col = def_.columns[i];
-        const Value& v = row[i];
-        if (v.is_null()) {
-            if (col.not_null && static_cast<int>(i) != pk_column_)
-                throw SchemaError("NULL in NOT NULL column '" + col.name +
-                                  "' of '" + def_.name + "'");
-            continue;
-        }
-        bool ok = true;
-        switch (col.type) {
-            case ValueType::kInteger:
-                ok = v.type() == ValueType::kInteger;
-                break;
-            case ValueType::kReal:
-                ok = v.type() == ValueType::kReal ||
-                     v.type() == ValueType::kInteger;
-                break;
-            case ValueType::kText:
-                ok = v.type() == ValueType::kText;
-                break;
-            case ValueType::kNull:
-                ok = false;
-                break;
-        }
-        if (!ok)
-            throw SchemaError("type mismatch in column '" + col.name + "' of '" +
-                              def_.name + "': expected " +
-                              std::string(to_string(col.type)) + ", got " +
-                              std::string(to_string(v.type())));
-    }
+    validate_arity(def_, row.size());
+    for (std::size_t i = 0; i < row.size(); ++i)
+        validate_cell(def_, pk_column_, i, row[i].type());
 }
 
 std::int64_t Table::insert(Row row) { return do_insert(std::move(row), true); }
@@ -165,10 +157,8 @@ std::int64_t Table::do_insert(Row&& row, bool validate_row) {
     }
     if (validate_row) {
         validate(row);
-    } else if (row.size() != def_.columns.size()) {
-        throw SchemaError("row arity " + std::to_string(row.size()) +
-                          " does not match table '" + def_.name + "' (" +
-                          std::to_string(def_.columns.size()) + " columns)");
+    } else {
+        validate_arity(def_, row.size());
     }
 
     std::int64_t pk = static_cast<std::int64_t>(store_.size());

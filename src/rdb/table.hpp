@@ -48,6 +48,39 @@ struct TableDef {
 
 using Row = std::vector<Value>;
 
+// -- row checks that need only the definition --------------------------------
+// Table::insert and the snapshot checker share these, so a row the
+// checker accepts is exactly a row an insert accepts.
+
+/// The primary-key column of `def`, or -1.  Throws SchemaError when it
+/// declares more than one, or one that is not INTEGER.
+[[nodiscard]] int primary_key_column(const TableDef& def);
+
+[[noreturn]] void throw_arity_mismatch(const TableDef& def, std::size_t cells);
+[[noreturn]] void throw_cell_mismatch(const TableDef& def, std::size_t column,
+                                      ValueType got);
+
+/// Throws SchemaError unless a row of `cells` values fits `def`.
+inline void validate_arity(const TableDef& def, std::size_t cells) {
+    if (cells != def.columns.size()) throw_arity_mismatch(def, cells);
+}
+
+/// Throws SchemaError unless a value of type `got` (kNull for NULL) may sit
+/// in `column`: NULL needs a nullable column, except that the primary key
+/// may be NULL (the insert assigns it); REAL also takes INTEGER.
+inline void validate_cell(const TableDef& def, int pk_column,
+                          std::size_t column, ValueType got) {
+    const ColumnDef& col = def.columns[column];
+    bool ok;
+    if (got == ValueType::kNull)
+        ok = !col.not_null || static_cast<int>(column) == pk_column;
+    else if (col.type == ValueType::kReal)
+        ok = got == ValueType::kReal || got == ValueType::kInteger;
+    else
+        ok = col.type != ValueType::kNull && got == col.type;
+    if (!ok) throw_cell_mismatch(def, column, got);
+}
+
 enum class IndexKind { kHash, kOrdered };
 
 class Table;
@@ -150,6 +183,9 @@ private:
 
 class Table {
 public:
+    /// The pk counter of a new table: the first key an insert assigns.
+    static constexpr std::int64_t kFirstPk = 1;
+
     explicit Table(TableDef def);
 
     [[nodiscard]] const TableDef& def() const { return def_; }
@@ -369,7 +405,7 @@ private:
 
     TableDef def_;
     int pk_column_ = -1;
-    std::atomic<std::int64_t> next_pk_{1};
+    std::atomic<std::int64_t> next_pk_{kFirstPk};
     MutationLog* log_ = nullptr;
     bool bulk_ = false;
     bool frozen_ = false;  ///< immutable published clone (never mutated)

@@ -40,15 +40,6 @@ constexpr std::size_t kFrameOverhead = 1 + 4 + 4;
 /// Buffered bytes that trigger an early (non-fsync) spill to disk.
 constexpr std::size_t kSpillBytes = 1u << 20;
 
-std::uint32_t le32_at(std::string_view data, std::size_t pos) {
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(data[pos + i]))
-             << (8 * i);
-    return v;
-}
-
 /// True when a structurally valid, CRC-checked record frame with a
 /// known type starts at `pos`.
 bool record_frame_at(std::string_view data, std::size_t pos,
@@ -56,11 +47,11 @@ bool record_frame_at(std::string_view data, std::size_t pos,
     if (data.size() - pos < kFrameOverhead) return false;
     type = static_cast<std::uint8_t>(data[pos]);
     if (type < kBeginUnit || type > kDeleteWhere) return false;
-    len = le32_at(data, pos + 1);
+    len = serial::le32_at(data, pos + 1);
     if (data.size() - pos < kFrameOverhead + static_cast<std::size_t>(len))
         return false;
     return checksum::crc32(data.substr(pos, 5 + len)) ==
-           le32_at(data, pos + 5 + len);
+           serial::le32_at(data, pos + 5 + len);
 }
 
 /// Offset of the next valid record frame at or after `from`, or npos.

@@ -5,6 +5,7 @@
 // points and the recovery report.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -429,6 +430,25 @@ TEST(Durability, CheckpointRequiresOpenDataDir) {
     EXPECT_THROW(db.checkpoint(), SchemaError);
 }
 
+TEST(Durability, CheckpointTimesEachPhase) {
+    test::TempDir dir;
+    test::DurableStack stack(gen::paper_dtd(), dir.path());
+    ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+    auto t0 = std::chrono::steady_clock::now();
+    rdb::SnapshotStats stats = stack.db.checkpoint();
+    double wall_ms = std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    EXPECT_GT(stats.rows, 0u);
+    EXPECT_GE(stats.serialize_ms, 0.0);
+    EXPECT_GE(stats.write_ms, 0.0);
+    EXPECT_GT(stats.verify_ms, 0.0);
+    EXPECT_GE(stats.rotate_ms, 0.0);
+    EXPECT_LE(stats.serialize_ms + stats.write_ms + stats.verify_ms +
+                  stats.rotate_ms,
+              wall_ms);
+}
+
 TEST(Durability, SnapshotFaultsLeaveOldChainAuthoritative) {
     for (const char* point : {"snapshot.write", "snapshot.rename"}) {
         test::TempDir dir;
@@ -452,6 +472,77 @@ TEST(Durability, SnapshotFaultsLeaveOldChainAuthoritative) {
         EXPECT_TRUE(reopened.recovery.snapshot_path.empty()) << point;
         EXPECT_EQ(test::db_fingerprint(reopened.db), expected) << point;
     }
+}
+
+// -- format stability ---------------------------------------------------------
+
+/// 64-bit FNV-1a, independent of the storage code's own CRC.
+std::uint64_t fnv1a(const std::string& bytes) {
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+std::string file_bytes(const std::string& path) {
+    std::ifstream f(path, std::ios::binary);
+    EXPECT_TRUE(f.is_open()) << path;
+    return {std::istreambuf_iterator<char>(f), std::istreambuf_iterator<char>()};
+}
+
+TEST(Durability, SnapshotAndWalBytesAreStable) {
+    // A small fixed database that touches every record type and every
+    // value encoding.  The digests pin the on-disk format: an encoder
+    // change that alters a single byte of either file fails here.
+    test::TempDir dir;
+    {
+        rdb::Database db;
+        db.open(dir.path());
+        rdb::TableDef def = simple_def();
+        def.columns.push_back({"score", rdb::ValueType::kReal, false, false});
+        def.columns.push_back({"n", rdb::ValueType::kInteger, true, false});
+        rdb::Table& t = db.create_table(def);
+        t.create_index("val", rdb::IndexKind::kHash);
+        t.create_index("n", rdb::IndexKind::kOrdered);
+        rdb::TableDef child;
+        child.name = "child";
+        child.columns.push_back({"id", rdb::ValueType::kInteger, true, true});
+        child.columns.push_back({"parent", rdb::ValueType::kInteger, false, false});
+        db.create_table(child);
+        db.add_foreign_key({"child", "parent", "t", "id"});
+        db.begin_unit();
+        std::int64_t a = t.insert({rdb::Value(), rdb::Value("alpha"),
+                                   rdb::Value(2.5), rdb::Value(-7)});
+        t.insert({rdb::Value(), rdb::Value(""), rdb::Value(),
+                  rdb::Value(std::int64_t{1} << 40)});
+        t.insert({rdb::Value(), rdb::Value("gone"), rdb::Value(-0.125),
+                  rdb::Value(3)});
+        db.require("child").insert({rdb::Value(), rdb::Value(a)});
+        db.commit_unit();
+        db.begin_unit();
+        t.insert({rdb::Value(), rdb::Value("rolled back"), rdb::Value(1.0),
+                  rdb::Value(9)});
+        db.rollback_unit();
+        db.begin_unit();
+        t.update(*t.find_pk_rowid(a), "val", rdb::Value("alpha2"));
+        db.commit_unit();
+        t.delete_where("val", rdb::Value("gone"));
+        rdb::TableDef scratch;
+        scratch.name = "scratch";
+        scratch.columns.push_back({"x", rdb::ValueType::kText, false, false});
+        db.create_table(scratch);
+        db.drop_table("scratch");
+        db.flush_wal();
+        db.checkpoint();
+    }
+    std::string snapshot = file_bytes(rdb::snapshot_file(dir.path(), 1));
+    std::string wal = file_bytes(rdb::wal_file(dir.path(), 0));
+    EXPECT_EQ(snapshot.size(), 311u);
+    EXPECT_EQ(fnv1a(snapshot), 13347712613588427516ull);
+    EXPECT_EQ(wal.size(), 600u);
+    EXPECT_EQ(fnv1a(wal), 11022470106181062937ull);
 }
 
 // -- loader integration -------------------------------------------------------

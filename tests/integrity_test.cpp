@@ -8,14 +8,18 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/fault.hpp"
 #include "helpers.hpp"
 #include "rdb/database.hpp"
 #include "rdb/integrity.hpp"
+#include "rdb/serial.hpp"
 #include "rdb/snapshot.hpp"
 #include "rdb/wal.hpp"
 
@@ -504,6 +508,358 @@ TEST(Integrity, SnapshotFuzzStrictNeverCrashesOrMisreads) {
     // changes decoded bytes must never survive.
     SCOPED_TRACE("seed " + std::to_string(fuzz_seed()));
     EXPECT_LT(survived, 300);
+}
+
+// -- the decode-only checker against the rebuilding reader -----------------
+//
+// check_snapshot() must accept exactly the images read_snapshot() accepts,
+// and report the table count, row counts and pk counters the rebuilt
+// database holds.  The rebuilding reader is the oracle.
+
+/// What the oracle rebuilt, in the checker's terms.
+std::vector<rdb::SnapshotTable> tables_of(const rdb::Database& db) {
+    std::vector<rdb::SnapshotTable> out;
+    for (const auto& name : db.table_names()) {
+        const rdb::Table& t = db.require(name);
+        out.push_back({name, t.row_count(), t.peek_next_pk()});
+    }
+    return out;
+}
+
+/// Run both readers on `path`; the checker must agree with the oracle.
+/// Returns whether the oracle accepted the image.
+bool expect_checker_agrees(const std::string& path, const std::string& what) {
+    std::optional<std::vector<rdb::SnapshotTable>> strict;
+    try {
+        rdb::Database db;
+        xr::rdb::read_snapshot(path, db);
+        strict = tables_of(db);
+    } catch (const Error&) {
+    }
+    std::optional<std::vector<rdb::SnapshotTable>> checked;
+    std::string checker_error;
+    try {
+        checked = rdb::check_snapshot(path);
+    } catch (const CorruptionError& e) {
+        checker_error = e.what();
+    }
+    EXPECT_EQ(checked.has_value(), strict.has_value())
+        << what << ": checker " << (checked ? "accepted" : "rejected")
+        << " what the strict reader "
+        << (strict ? "accepted" : "rejected") << " " << checker_error;
+    if (checked && strict) {
+        EXPECT_TRUE(*checked == *strict)
+            << what << ": checker and strict reader disagree on counts";
+    }
+    return strict.has_value();
+}
+
+/// Offsets of every section frame (type byte) in a snapshot image.
+std::vector<std::size_t> section_starts(const std::string& image) {
+    std::vector<std::size_t> out;
+    std::size_t pos = 12;  // magic + version
+    while (pos + 9 <= image.size()) {
+        out.push_back(pos);
+        pos += 9 + rdb::serial::le32_at(image, pos + 1);
+    }
+    return out;
+}
+
+/// Recompute the CRC of the section frame at `start`.
+void reseal(std::string& image, std::size_t start) {
+    std::uint32_t len = rdb::serial::le32_at(image, start + 1);
+    std::uint32_t crc =
+        checksum::crc32(std::string_view(image).substr(start, 5 + len));
+    rdb::serial::patch_u32(image, start + 5 + len, crc);
+}
+
+/// A table as the snapshot encodes it, editable before encoding.
+struct TableImage {
+    rdb::TableDef def;
+    std::int64_t next_pk = 0;
+    std::vector<rdb::Table::IndexDef> indexes;
+    std::vector<rdb::Row> rows;
+};
+
+std::vector<TableImage> image_of(const rdb::Database& db) {
+    std::vector<TableImage> out;
+    for (const auto& name : db.table_names()) {
+        const rdb::Table& t = db.require(name);
+        TableImage ti{t.def(), t.peek_next_pk(), t.index_defs(), {}};
+        for (rdb::RowId id = 0; id < t.row_count(); ++id)
+            ti.rows.push_back(t.row(id));
+        out.push_back(std::move(ti));
+    }
+    return out;
+}
+
+void put_frame(std::string& out, std::uint8_t type, const std::string& payload) {
+    std::size_t start = out.size();
+    rdb::serial::put_u8(out, type);
+    rdb::serial::put_u32(out, static_cast<std::uint32_t>(payload.size()));
+    out += payload;
+    rdb::serial::put_u32(
+        out, checksum::crc32(std::string_view(out).substr(start)));
+}
+
+/// Encode a snapshot image from its parts, framed and checksummed the way
+/// write_snapshot() frames them.
+std::string encode_image(const std::vector<TableImage>& tables,
+                         const std::vector<rdb::ForeignKeyDef>& fks) {
+    std::string out("XRSNAP1\n");
+    rdb::serial::put_u32(out, 1);
+    for (const TableImage& t : tables) {
+        std::string p;
+        rdb::serial::put_table_def(p, t.def);
+        rdb::serial::put_i64(p, t.next_pk);
+        rdb::serial::put_u32(p, static_cast<std::uint32_t>(t.indexes.size()));
+        for (const auto& idx : t.indexes) {
+            rdb::serial::put_string(p, idx.column);
+            rdb::serial::put_u8(p, static_cast<std::uint8_t>(idx.kind));
+        }
+        rdb::serial::put_u64(p, t.rows.size());
+        for (const rdb::Row& row : t.rows) rdb::serial::put_row(p, row);
+        put_frame(out, 1, p);
+    }
+    std::string p;
+    rdb::serial::put_u32(p, static_cast<std::uint32_t>(fks.size()));
+    for (const auto& fk : fks) {
+        rdb::serial::put_string(p, fk.table);
+        rdb::serial::put_string(p, fk.column);
+        rdb::serial::put_string(p, fk.ref_table);
+        rdb::serial::put_string(p, fk.ref_column);
+    }
+    put_frame(out, 2, p);
+    put_frame(out, 3, {});
+    return out;
+}
+
+/// First (table, column) with rows where `pick(column, pk column)` holds.
+std::pair<TableImage*, int> find_column(
+    std::vector<TableImage>& tables,
+    const std::function<bool(const rdb::ColumnDef&, bool)>& pick) {
+    for (TableImage& t : tables) {
+        if (t.rows.size() < 2) continue;
+        int pk = rdb::primary_key_column(t.def);
+        for (std::size_t c = 0; c < t.def.columns.size(); ++c)
+            if (pick(t.def.columns[c], static_cast<int>(c) == pk))
+                return {&t, static_cast<int>(c)};
+    }
+    return {nullptr, -1};
+}
+
+TEST(Integrity, SnapshotCheckerAgreesWithStrictReader) {
+    test::TempDir dir;
+    std::vector<TableImage> tables;
+    std::vector<rdb::ForeignKeyDef> fks;
+    {
+        test::DurableStack stack(gen::paper_dtd(), dir.path());
+        ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+        stack.db.checkpoint();
+        tables = image_of(stack.db);
+        fks = stack.db.foreign_keys();
+    }
+    std::string pristine = read_file(rdb::snapshot_file(dir.path(), 1));
+    std::string fuzzed = dir.path() + "/fuzz.xrs";
+    write_file(fuzzed, pristine);
+    ASSERT_TRUE(expect_checker_agrees(fuzzed, "pristine"));
+
+    // Leg 1: the raw mutations of the fuzz test above (same seed).
+    Rng rng(fuzz_seed());
+    for (int i = 0; i < 300; ++i) {
+        write_file(fuzzed, mutate(pristine, rng));
+        expect_checker_agrees(fuzzed, "raw mutation " + std::to_string(i));
+    }
+
+    // Leg 2: CRC-valid mutations.  Damage one section's payload in place,
+    // then reseal its CRC, so both readers get past the framing and must
+    // agree on the decoded content: tags, counts, types, keys, names.
+    std::vector<std::size_t> starts = section_starts(pristine);
+    ASSERT_GE(starts.size(), 3u);
+    int accepted = 0, rejected = 0;
+    for (int i = 0; i < 400; ++i) {
+        std::string bytes = pristine;
+        std::size_t start = starts[rng.below(starts.size())];
+        std::uint32_t len = rdb::serial::le32_at(bytes, start + 1);
+        if (len == 0) continue;  // the end marker has no payload
+        std::size_t at = start + 5 + rng.below(len);
+        switch (rng.below(3)) {
+            case 0:  // flip one bit
+                bytes[at] = static_cast<char>(bytes[at] ^ (1u << rng.below(8)));
+                break;
+            case 1:  // random byte
+                bytes[at] = static_cast<char>(rng.next() & 0xFF);
+                break;
+            default:  // zero a run inside the payload
+                for (std::size_t k = at,
+                                 end = std::min<std::size_t>(
+                                     start + 5 + len, at + 1 + rng.below(8));
+                     k < end; ++k)
+                    bytes[k] = 0;
+                break;
+        }
+        reseal(bytes, start);
+        write_file(fuzzed, bytes);
+        if (expect_checker_agrees(fuzzed, "resealed mutation " +
+                                              std::to_string(i)))
+            ++accepted;
+        else
+            ++rejected;
+    }
+    // Both outcomes must be exercised, or the leg compares nothing.
+    SCOPED_TRACE("seed " + std::to_string(fuzz_seed()));
+    EXPECT_GT(accepted, 0);
+    EXPECT_GT(rejected, 0);
+
+    // Leg 3: semantic edits, encoded into well-formed images — the cases
+    // byte mutations rarely reach: retyped or NULLed cells, colliding
+    // keys, changed column definitions, bad index names, repeated tables.
+    accepted = rejected = 0;
+    for (int i = 0; i < 400; ++i) {
+        std::vector<TableImage> edited = tables;
+        for (std::size_t k = 0, n = 1 + rng.below(2); k < n; ++k) {
+            TableImage& t = edited[rng.below(edited.size())];
+            std::size_t col = rng.below(t.def.columns.size());
+            switch (rng.below(8)) {
+                case 0: case 1: case 2: {  // overwrite one cell
+                    if (t.rows.empty()) break;
+                    const rdb::Value values[] = {
+                        rdb::Value::null(),
+                        rdb::Value(static_cast<std::int64_t>(rng.below(4))),
+                        rdb::Value(1.5), rdb::Value("x")};
+                    t.rows[rng.below(t.rows.size())][col] =
+                        values[rng.below(4)];
+                    break;
+                }
+                case 3:  // toggle NOT NULL
+                    t.def.columns[col].not_null = !t.def.columns[col].not_null;
+                    break;
+                case 4:  // retype a column
+                    t.def.columns[col].type =
+                        static_cast<rdb::ValueType>(rng.below(4));
+                    break;
+                case 5:  // toggle the primary-key flag
+                    t.def.columns[col].primary_key =
+                        !t.def.columns[col].primary_key;
+                    break;
+                case 6:  // index a column that may not exist
+                    t.indexes.push_back(
+                        {rng.below(2) == 0 ? t.def.columns[col].name
+                                           : std::string("no_such_column"),
+                         rdb::IndexKind::kOrdered});
+                    break;
+                default:  // repeat a table, or drop its last row
+                    if (rng.below(2) == 0)
+                        edited.push_back(t);
+                    else if (!t.rows.empty())
+                        t.rows.pop_back();
+                    break;
+            }
+        }
+        write_file(fuzzed, encode_image(edited, fks));
+        if (expect_checker_agrees(fuzzed,
+                                  "semantic edit " + std::to_string(i)))
+            ++accepted;
+        else
+            ++rejected;
+    }
+    EXPECT_GT(accepted, 0);
+    EXPECT_GT(rejected, 0);
+}
+
+TEST(Integrity, CheckpointRejectsSemanticallyBadImages) {
+    struct Case {
+        const char* name;
+        bool strict_accepts;      ///< the oracle's verdict on the image
+        const char* message;      ///< in checkpoint()'s error
+        std::function<void(std::vector<TableImage>&)> edit;
+    };
+    const std::vector<Case> cases = {
+        {"duplicate pk", false, "duplicate primary key",
+         [](std::vector<TableImage>& tables) {
+             auto [t, c] = find_column(tables, [](const auto&, bool pk) {
+                 return pk;
+             });
+             ASSERT_NE(t, nullptr);
+             t->rows[1][c] = t->rows[0][c];
+         }},
+        {"NULL in a NOT NULL column", false, "NULL in NOT NULL column",
+         [](std::vector<TableImage>& tables) {
+             auto [t, c] = find_column(tables, [](const auto& col, bool pk) {
+                 return col.not_null && !pk;
+             });
+             ASSERT_NE(t, nullptr);
+             t->rows[0][c] = rdb::Value::null();
+         }},
+        {"text in an integer column", false, "type mismatch",
+         [](std::vector<TableImage>& tables) {
+             auto [t, c] = find_column(tables, [](const auto& col, bool pk) {
+                 return col.type == rdb::ValueType::kInteger && !pk;
+             });
+             ASSERT_NE(t, nullptr);
+             t->rows[0][c] = rdb::Value("not a number");
+         }},
+        {"index on an unknown column", false, "unknown column",
+         [](std::vector<TableImage>& tables) {
+             tables.front().indexes.push_back(
+                 {"no_such_column", rdb::IndexKind::kHash});
+         }},
+        {"row count differs from memory", true, "row(s) in the snapshot",
+         [](std::vector<TableImage>& tables) {
+             auto [t, c] = find_column(tables, [](const auto&, bool) {
+                 return true;
+             });
+             ASSERT_NE(t, nullptr);
+             t->rows.pop_back();
+         }},
+        {"pk counter differs from memory", true, "pk counter disagrees",
+         [](std::vector<TableImage>& tables) { tables.front().next_pk += 5; }},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        test::TempDir dir;
+        std::vector<std::string> expected;
+        {
+            test::DurableStack stack(gen::paper_dtd(), dir.path());
+            ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+            expected = test::db_fingerprint(stack.db);
+            std::vector<TableImage> tables = image_of(stack.db);
+            std::string good = encode_image(tables, stack.db.foreign_keys());
+            c.edit(tables);
+            std::string bad = encode_image(tables, stack.db.foreign_keys());
+            ASSERT_NE(bad, good);
+
+            // The checker agrees with the rebuilding reader on the image.
+            std::string probe = dir.path() + "/probe.xrs";
+            write_file(probe, bad);
+            EXPECT_EQ(expect_checker_agrees(probe, c.name), c.strict_accepts);
+
+            // checkpoint() meets the bad bytes where it re-reads its image.
+            const std::string snap = rdb::snapshot_file(dir.path(), 1);
+            fault::arm_action("snapshot.verify",
+                              [&] { write_file(snap, bad); });
+            try {
+                stack.db.checkpoint();
+                ADD_FAILURE() << "checkpoint accepted a bad image";
+            } catch (const CorruptionError& e) {
+                EXPECT_NE(std::string(e.what()).find(c.message),
+                          std::string::npos)
+                    << e.what();
+            }
+            fault::disarm();
+            // The candidate is gone and the WAL did not rotate.
+            EXPECT_FALSE(fs::exists(snap));
+            EXPECT_TRUE(fs::exists(rdb::wal_file(dir.path(), 0)));
+            EXPECT_FALSE(fs::exists(rdb::wal_file(dir.path(), 1)));
+            EXPECT_EQ(stack.db.storage_seq(), 0u);
+            // A later checkpoint writes the real image and succeeds.
+            EXPECT_NO_THROW(stack.db.checkpoint());
+            EXPECT_EQ(read_file(snap), good);
+        }
+        test::DurableStack reopened(gen::paper_dtd(), dir.path());
+        EXPECT_EQ(test::db_fingerprint(reopened.db), expected);
+        EXPECT_EQ(reopened.recovery.snapshot_seq, 1u);
+    }
 }
 
 TEST(Integrity, WalFuzzSalvageAlwaysYieldsVerifiablyCleanState) {
