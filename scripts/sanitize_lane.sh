@@ -5,10 +5,14 @@
 # the durability layer (snapshots, WAL, crash recovery), the integrity
 # checker and corruption fuzzers, the structural-index tests, the
 # overload/cancellation lifecycle, the MiniRDB unit tests (the
-# copy-on-write B+tree's node splits, path copies and lazy deletes) and
-# a short torture campaign — every code path that handles torn/corrupt
-# input, label arithmetic, shared index nodes, or mid-query unwinding.  The full suite under ASan is slow; these labels
-# are where the sanitizer earns its keep.
+# copy-on-write B+tree's node splits, path copies and lazy deletes), the
+# SQL executor (its evaluator hands out references into table rows,
+# literals and caller-owned scratch values, exactly where a dangling
+# reference would hide) through the SQL unit tests and the differential
+# query fuzzer, and a short torture campaign — every code path that
+# handles torn/corrupt input, label arithmetic, shared index nodes,
+# borrowed cells, or mid-query unwinding.  The full suite under ASan is
+# slow; these labels are where the sanitizer earns its keep.
 #
 # TSan lane (`thread`): the differential query fuzzer, the concurrent
 # serving tests — readers racing loads and checkpoints, the worker pool,
@@ -26,8 +30,9 @@
 # UBSan lane (`undefined`): the planner's selectivity/cost arithmetic
 # (double math over row counts, bitmask subset walks), the structural
 # interval label arithmetic, the query fuzzer, the integrity checker
-# (which sums attacker-controlled label spans) and the MiniRDB unit
-# tests (B+tree split/rank index arithmetic) — the code where a silent
+# (which sums attacker-controlled label spans), the MiniRDB unit
+# tests (B+tree split/rank index arithmetic) and the SQL unit tests (the
+# executor's signed integer arithmetic) — the code where a silent
 # overflow would skew a plan or an index rather than crash.
 #
 # Both ASan and TSan lanes also carry the planner label: statistics are
@@ -43,7 +48,7 @@ LANE=${1:-address}
 case "$LANE" in
   address)
     BUILD_DIR=${2:-build-asan}
-    LABELS='bulk|fault|durability|integrity|index|overload|planner|mvcc|torture|rdb'
+    LABELS='bulk|fault|durability|integrity|index|overload|planner|mvcc|torture|rdb|query|sql'
     # Keep the sanitized torture leg short; scripts/torture.sh owns the
     # long campaign on the plain build.
     XMLREL_TORTURE_ITERS=${XMLREL_TORTURE_ITERS:-10}
@@ -55,7 +60,7 @@ case "$LANE" in
     ;;
   undefined)
     BUILD_DIR=${2:-build-ubsan}
-    LABELS='planner|index|query|integrity|mvcc|rdb'
+    LABELS='planner|index|query|integrity|mvcc|rdb|sql'
     ;;
   *)
     echo "usage: $0 [address|thread|undefined] [build-dir]" >&2

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
-#include <set>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -30,28 +29,30 @@ bool truthy(const Value& v) {
     }
 }
 
-/// SQL LIKE with % and _ wildcards.
-bool like_match(const std::string& text, const std::string& pattern) {
-    std::function<bool(std::size_t, std::size_t)> rec =
-        [&](std::size_t ti, std::size_t pi) -> bool {
-        while (pi < pattern.size()) {
-            char pc = pattern[pi];
-            if (pc == '%') {
-                // Collapse consecutive %.
-                while (pi < pattern.size() && pattern[pi] == '%') ++pi;
-                if (pi == pattern.size()) return true;
-                for (std::size_t t = ti; t <= text.size(); ++t)
-                    if (rec(t, pi)) return true;
-                return false;
-            }
-            if (ti >= text.size()) return false;
-            if (pc != '_' && pc != text[ti]) return false;
+/// SQL LIKE with % and _ wildcards.  Iterative: on a mismatch it
+/// backtracks to the last '%' and lets that '%' swallow one more character,
+/// so a match costs O(|text| * |pattern|) with no allocation or recursion.
+bool like_match(std::string_view text, std::string_view pattern) {
+    std::size_t ti = 0, pi = 0;
+    std::size_t star = std::string_view::npos;  // pattern index after the last '%'
+    std::size_t star_ti = 0;                     // text index that '%' resumes at
+    while (ti < text.size()) {
+        if (pi < pattern.size() && pattern[pi] == '%') {
+            star = ++pi;
+            star_ti = ti;
+        } else if (pi < pattern.size() &&
+                   (pattern[pi] == '_' || pattern[pi] == text[ti])) {
             ++ti;
             ++pi;
+        } else if (star != std::string_view::npos) {
+            pi = star;
+            ti = ++star_ti;
+        } else {
+            return false;
         }
-        return ti == text.size();
-    };
-    return rec(0, 0);
+    }
+    while (pi < pattern.size() && pattern[pi] == '%') ++pi;
+    return pi == pattern.size();
 }
 
 struct BoundTable {
@@ -121,100 +122,49 @@ private:
     }
 };
 
-/// Evaluates a bound expression against one joined row context.
-class Evaluator {
-public:
-    Evaluator(const std::vector<BoundTable>& tables) : tables_(tables) {}
-
-    Value eval(const Expr& e, const std::vector<RowId>& ctx) const {
-        switch (e.kind) {
-            case Expr::Kind::kLiteral:
-                return e.literal;
-            case Expr::Kind::kColumn:
-                return tables_[e.bound_table].table->row(
-                    ctx[e.bound_table])[e.bound_column];
-            case Expr::Kind::kNot:
-                return Value(static_cast<std::int64_t>(!truthy(eval(*e.right, ctx))));
-            case Expr::Kind::kIsNull: {
-                bool is_null = eval(*e.right, ctx).is_null();
-                return Value(static_cast<std::int64_t>(e.negated ? !is_null
-                                                                 : is_null));
+/// Applies a non-short-circuit binary operator to two evaluated operands.
+/// The result is never text, so building it allocates nothing.
+Value apply_binary(BinaryOp op, const Value& a, const Value& b) {
+    switch (op) {
+        case BinaryOp::kAnd:
+            return Value(static_cast<std::int64_t>(truthy(a) && truthy(b)));
+        case BinaryOp::kOr:
+            return Value(static_cast<std::int64_t>(truthy(a) || truthy(b)));
+        case BinaryOp::kEq:
+        case BinaryOp::kNe:
+        case BinaryOp::kLt:
+        case BinaryOp::kLe:
+        case BinaryOp::kGt:
+        case BinaryOp::kGe: {
+            auto ord = a.compare(b);
+            if (!ord) return Value::null();
+            bool r = false;
+            switch (op) {
+                case BinaryOp::kEq: r = *ord == std::strong_ordering::equal; break;
+                case BinaryOp::kNe: r = *ord != std::strong_ordering::equal; break;
+                case BinaryOp::kLt: r = *ord == std::strong_ordering::less; break;
+                case BinaryOp::kLe: r = *ord != std::strong_ordering::greater; break;
+                case BinaryOp::kGt: r = *ord == std::strong_ordering::greater; break;
+                default: r = *ord != std::strong_ordering::less; break;
             }
-            case Expr::Kind::kBinary:
-                return eval_binary(e, ctx);
-            case Expr::Kind::kAggregate:
-                throw QueryError("aggregate used outside aggregation context");
-            case Expr::Kind::kStar:
-                throw QueryError("'*' used outside COUNT(*)");
+            return Value(static_cast<std::int64_t>(r));
         }
-        return Value::null();
-    }
-
-private:
-    const std::vector<BoundTable>& tables_;
-
-    Value eval_binary(const Expr& e, const std::vector<RowId>& ctx) const {
-        // Short-circuit logic.
-        if (e.op == BinaryOp::kAnd) {
-            if (!truthy(eval(*e.left, ctx))) return Value(0);
-            return Value(static_cast<std::int64_t>(truthy(eval(*e.right, ctx))));
+        case BinaryOp::kLike: {
+            if (a.is_null() || b.is_null()) return Value::null();
+            return Value(static_cast<std::int64_t>(
+                like_match(a.as_text(), b.as_text())));
         }
-        if (e.op == BinaryOp::kOr) {
-            if (truthy(eval(*e.left, ctx))) return Value(1);
-            return Value(static_cast<std::int64_t>(truthy(eval(*e.right, ctx))));
-        }
-
-        Value a = eval(*e.left, ctx);
-        Value b = eval(*e.right, ctx);
-        switch (e.op) {
-            case BinaryOp::kEq:
-            case BinaryOp::kNe:
-            case BinaryOp::kLt:
-            case BinaryOp::kLe:
-            case BinaryOp::kGt:
-            case BinaryOp::kGe: {
-                auto ord = a.compare(b);
-                if (!ord) return Value::null();
-                bool r = false;
-                switch (e.op) {
-                    case BinaryOp::kEq: r = *ord == std::strong_ordering::equal; break;
-                    case BinaryOp::kNe: r = *ord != std::strong_ordering::equal; break;
-                    case BinaryOp::kLt: r = *ord == std::strong_ordering::less; break;
-                    case BinaryOp::kLe: r = *ord != std::strong_ordering::greater; break;
-                    case BinaryOp::kGt: r = *ord == std::strong_ordering::greater; break;
-                    default: r = *ord != std::strong_ordering::less; break;
-                }
-                return Value(static_cast<std::int64_t>(r));
-            }
-            case BinaryOp::kLike: {
-                if (a.is_null() || b.is_null()) return Value::null();
-                return Value(static_cast<std::int64_t>(
-                    like_match(a.as_text(), b.as_text())));
-            }
-            case BinaryOp::kAdd:
-            case BinaryOp::kSub:
-            case BinaryOp::kMul:
-            case BinaryOp::kDiv:
-            case BinaryOp::kMod: {
-                if (a.is_null() || b.is_null()) return Value::null();
-                bool ints = a.type() == rdb::ValueType::kInteger &&
-                            b.type() == rdb::ValueType::kInteger;
-                if (ints) {
-                    std::int64_t x = a.as_integer(), y = b.as_integer();
-                    switch (e.op) {
-                        case BinaryOp::kAdd: return Value(x + y);
-                        case BinaryOp::kSub: return Value(x - y);
-                        case BinaryOp::kMul: return Value(x * y);
-                        case BinaryOp::kDiv:
-                            if (y == 0) return Value::null();
-                            return Value(x / y);
-                        default:
-                            if (y == 0) return Value::null();
-                            return Value(x % y);
-                    }
-                }
-                double x = a.as_real(), y = b.as_real();
-                switch (e.op) {
+        case BinaryOp::kAdd:
+        case BinaryOp::kSub:
+        case BinaryOp::kMul:
+        case BinaryOp::kDiv:
+        case BinaryOp::kMod: {
+            if (a.is_null() || b.is_null()) return Value::null();
+            bool ints = a.type() == rdb::ValueType::kInteger &&
+                        b.type() == rdb::ValueType::kInteger;
+            if (ints) {
+                std::int64_t x = a.as_integer(), y = b.as_integer();
+                switch (op) {
                     case BinaryOp::kAdd: return Value(x + y);
                     case BinaryOp::kSub: return Value(x - y);
                     case BinaryOp::kMul: return Value(x * y);
@@ -222,12 +172,81 @@ private:
                         if (y == 0) return Value::null();
                         return Value(x / y);
                     default:
-                        return Value::null();
+                        if (y == 0) return Value::null();
+                        return Value(x % y);
                 }
             }
-            default:
-                return Value::null();
+            double x = a.as_real(), y = b.as_real();
+            switch (op) {
+                case BinaryOp::kAdd: return Value(x + y);
+                case BinaryOp::kSub: return Value(x - y);
+                case BinaryOp::kMul: return Value(x * y);
+                case BinaryOp::kDiv:
+                    if (y == 0) return Value::null();
+                    return Value(x / y);
+                default:
+                    return Value::null();
+            }
         }
+    }
+    return Value::null();
+}
+
+/// Evaluates a bound expression against one joined row context.  The
+/// result is borrowed, never copied: a column reference yields its row's
+/// cell and a literal its Expr::literal, in place.  Only a computed value
+/// (comparison, arithmetic, NOT, IS NULL) is written into `scratch`, which
+/// the caller owns; the returned reference is valid while both the row
+/// context and `scratch` are.
+class Evaluator {
+public:
+    explicit Evaluator(const std::vector<BoundTable>& tables) : tables_(tables) {}
+
+    const Value& eval(const Expr& e, const std::vector<RowId>& ctx,
+                      Value& scratch) const {
+        switch (e.kind) {
+            case Expr::Kind::kLiteral:
+                return e.literal;
+            case Expr::Kind::kColumn:
+                return tables_[e.bound_table].table->row(
+                    ctx[e.bound_table])[e.bound_column];
+            case Expr::Kind::kNot: {
+                bool t = truthy(eval(*e.right, ctx, scratch));
+                return scratch = Value(static_cast<std::int64_t>(!t));
+            }
+            case Expr::Kind::kIsNull: {
+                bool is_null = eval(*e.right, ctx, scratch).is_null();
+                return scratch = Value(static_cast<std::int64_t>(
+                           e.negated ? !is_null : is_null));
+            }
+            case Expr::Kind::kBinary:
+                return eval_binary(e, ctx, scratch);
+            case Expr::Kind::kAggregate:
+                throw QueryError("aggregate used outside aggregation context");
+            case Expr::Kind::kStar:
+                throw QueryError("'*' used outside COUNT(*)");
+        }
+        return scratch = Value::null();
+    }
+
+private:
+    const std::vector<BoundTable>& tables_;
+
+    const Value& eval_binary(const Expr& e, const std::vector<RowId>& ctx,
+                             Value& scratch) const {
+        // Short-circuit logic: each side is reduced to a bool before the
+        // next evaluation reuses `scratch`.
+        if (e.op == BinaryOp::kAnd || e.op == BinaryOp::kOr) {
+            bool left = truthy(eval(*e.left, ctx, scratch));
+            bool r = e.op == BinaryOp::kAnd
+                         ? left && truthy(eval(*e.right, ctx, scratch))
+                         : left || truthy(eval(*e.right, ctx, scratch));
+            return scratch = Value(static_cast<std::int64_t>(r));
+        }
+        Value right_scratch;
+        const Value& a = eval(*e.left, ctx, scratch);
+        const Value& b = eval(*e.right, ctx, right_scratch);
+        return scratch = apply_binary(e.op, a, b);
     }
 };
 
@@ -385,7 +404,7 @@ public:
             // buffered context counts against the row budget — this
             // intermediate buffer is exactly the memory a budget guards.
             std::vector<std::vector<RowId>> contexts;
-            enumerate([&](const std::vector<RowId>& ctx) {
+            enumerate(eval, [&](const std::vector<RowId>& ctx) {
                 cancel_.charge_rows();
                 contexts.push_back(ctx);
             });
@@ -396,19 +415,8 @@ public:
             // enumeration — no materialized context list, no second pass.
             // This keeps the cold path of a bare structural scan (a
             // join-free '//x' interval plan) at one row copy per result.
-            enumerate([&](const std::vector<RowId>& ctx) {
-                Row out;
-                out.reserve(stmt_.items.size());
-                for (const auto& item : stmt_.items) {
-                    if (item.star) {
-                        for (std::size_t t = 0; t < tables_.size(); ++t) {
-                            const Row& r = tables_[t].table->row(ctx[t]);
-                            out.insert(out.end(), r.begin(), r.end());
-                        }
-                    } else {
-                        out.push_back(eval.eval(*item.expr, ctx));
-                    }
-                }
+            enumerate(eval, [&](const std::vector<RowId>& ctx) {
+                Row out = project(eval, ctx);
                 charge_output(out);
                 result.rows.push_back(std::move(out));
             });
@@ -676,20 +684,21 @@ private:
         }
     }
 
-    void enumerate(const std::function<void(const std::vector<RowId>&)>& emit) {
-        Evaluator eval(tables_);
+    void enumerate(const Evaluator& eval,
+                   const std::function<void(const std::vector<RowId>&)>& emit) {
         std::vector<RowId> ctx(tables_.size());
 
         std::function<void(std::size_t)> descend = [&](std::size_t s) {
             Stage& stage = stages_[s];
             const Table* t = tables_[s].table;
+            Value scratch;  // residual results; a borrowed cell needs none
 
             auto accept = [&](RowId id) {
                 ctx[s] = id;
                 count(&ExecStats::rows_scanned);
                 poll_cancel();
                 for (const Expr* r : stage.residual)
-                    if (!truthy(eval.eval(*r, ctx))) return;
+                    if (!truthy(eval.eval(*r, ctx, scratch))) return;
                 if (s + 1 == stages_.size()) emit(ctx);
                 else descend(s + 1);
             };
@@ -706,7 +715,9 @@ private:
             }
 
             if (stage.probe_outer != nullptr) {
-                Value key = eval.eval(*stage.probe_outer, ctx);
+                Value key_scratch;
+                const Value& key =
+                    eval.eval(*stage.probe_outer, ctx, key_scratch);
                 if (key.is_null()) return;
                 if (stage.use_index) {
                     const auto& coldef = t->def().columns[stage.inner_column];
@@ -732,17 +743,15 @@ private:
                 // table's ordered index instead of scanning it.
                 const std::string& col =
                     t->def().columns[stage.range_column].name;
-                Value lo, hi;
+                Value lo_scratch, hi_scratch;
                 const Value *lop = nullptr, *hip = nullptr;
                 if (stage.range_lo != nullptr) {
-                    lo = eval.eval(*stage.range_lo, ctx);
-                    if (lo.is_null()) return;  // unknown bound: no matches
-                    lop = &lo;
+                    lop = &eval.eval(*stage.range_lo, ctx, lo_scratch);
+                    if (lop->is_null()) return;  // unknown bound: no matches
                 }
                 if (stage.range_hi != nullptr) {
-                    hi = eval.eval(*stage.range_hi, ctx);
-                    if (hi.is_null()) return;
-                    hip = &hi;
+                    hip = &eval.eval(*stage.range_hi, ctx, hi_scratch);
+                    if (hip->is_null()) return;
                 }
                 count(&ExecStats::range_scans);
                 for (RowId id :
@@ -758,6 +767,24 @@ private:
 
         if (tables_.empty()) return;
         descend(0);
+    }
+
+    /// One output row of a non-aggregate select.
+    Row project(const Evaluator& eval, const std::vector<RowId>& ctx) const {
+        Row out;
+        out.reserve(stmt_.items.size());
+        Value scratch;
+        for (const auto& item : stmt_.items) {
+            if (item.star) {
+                for (std::size_t t = 0; t < tables_.size(); ++t) {
+                    const Row& r = tables_[t].table->row(ctx[t]);
+                    out.insert(out.end(), r.begin(), r.end());
+                }
+            } else {
+                out.push_back(eval.eval(*item.expr, ctx, scratch));
+            }
+        }
+        return out;
     }
 
     void expand_columns(ResultSet& result) const {
@@ -779,17 +806,7 @@ private:
                    ResultSet& result) {
         for (const auto& ctx : contexts) {
             poll_cancel();
-            Row out;
-            for (const auto& item : stmt_.items) {
-                if (item.star) {
-                    for (std::size_t t = 0; t < tables_.size(); ++t) {
-                        const Row& r = tables_[t].table->row(ctx[t]);
-                        out.insert(out.end(), r.begin(), r.end());
-                    }
-                } else {
-                    out.push_back(eval.eval(*item.expr, ctx));
-                }
-            }
+            Row out = project(eval, ctx);
             charge_output(out);
             result.rows.push_back(std::move(out));
         }
@@ -807,6 +824,7 @@ private:
         };
         std::vector<Keyed> keyed;
         keyed.reserve(result.rows.size());
+        Value scratch;
         for (std::size_t i = 0; i < result.rows.size(); ++i) {
             poll_cancel();
             Keyed k;
@@ -816,7 +834,8 @@ private:
                 if (out >= 0 && out < static_cast<int>(k.row.size()))
                     k.keys.push_back(k.row[out]);
                 else if (i < contexts.size())
-                    k.keys.push_back(eval.eval(*stmt_.order_by[j].expr, contexts[i]));
+                    k.keys.push_back(
+                        eval.eval(*stmt_.order_by[j].expr, contexts[i], scratch));
                 else
                     k.keys.push_back(Value::null());
             }
@@ -844,7 +863,8 @@ private:
         bool sum_is_int = true;
         std::int64_t isum = 0;
         Value min, max;
-        std::set<std::string> distinct_seen;
+        /// COUNT/SUM/AVG(DISTINCT) inputs seen, equal by index_order.
+        std::unordered_set<Value, rdb::ValueHash> distinct_seen;
     };
 
     void run_aggregate(const Evaluator& eval,
@@ -873,30 +893,31 @@ private:
             std::vector<RowId> representative;
             std::vector<Accumulator> accs;
         };
-        std::map<std::vector<std::string>, Group> groups;
-
+        // Groups in first-seen order, keyed on the Values themselves
+        // (index_order equality, as DISTINCT): NULL and 'NULL', or reals
+        // that agree only to a few decimals, stay apart.
+        std::vector<Group> groups;
+        std::unordered_map<Row, std::size_t, RowHasher, RowEqual> group_of;
+        Row key;
+        Value scratch;
         for (const auto& ctx : contexts) {
             poll_cancel();
-            std::vector<std::string> key;
+            key.clear();
             for (const auto& g : stmt_.group_by)
-                key.push_back(eval.eval(*g, ctx).to_string());
-            auto [it, inserted] = groups.try_emplace(std::move(key));
-            Group& group = it->second;
+                key.push_back(eval.eval(*g, ctx, scratch));
+            auto [it, inserted] = group_of.try_emplace(key, groups.size());
             if (inserted) {
-                group.representative = ctx;
-                group.accs.resize(aggs.size());
+                groups.push_back({ctx, std::vector<Accumulator>(aggs.size())});
             }
+            Group& group = groups[it->second];
             for (std::size_t a = 0; a < aggs.size(); ++a)
                 accumulate(eval, *aggs[a], ctx, group.accs[a]);
         }
         // A global aggregate over zero rows still yields one group.
-        if (groups.empty() && stmt_.group_by.empty()) {
-            Group group;
-            group.accs.resize(aggs.size());
-            groups.emplace(std::vector<std::string>{}, std::move(group));
-        }
+        if (groups.empty() && stmt_.group_by.empty())
+            groups.push_back({{}, std::vector<Accumulator>(aggs.size())});
 
-        for (const auto& [key, group] : groups) {
+        for (const Group& group : groups) {
             auto final_value = [&](const Expr* e) {
                 for (std::size_t a = 0; a < aggs.size(); ++a)
                     if (aggs[a] == e) return finalize(*e, group.accs[a]);
@@ -906,19 +927,15 @@ private:
                 [&](const Expr& e) -> Value {
                 if (e.kind == Expr::Kind::kAggregate) return final_value(&e);
                 if (e.kind == Expr::Kind::kBinary) {
-                    // Rebuild with children evaluated (aggregates possible on
-                    // either side).
-                    Expr tmp;
-                    tmp.kind = Expr::Kind::kBinary;
-                    tmp.op = e.op;
-                    tmp.left = make_literal(eval_out(*e.left));
-                    tmp.right = make_literal(eval_out(*e.right));
-                    return eval.eval(tmp, group.representative.empty()
-                                              ? std::vector<RowId>{}
-                                              : group.representative);
+                    // Aggregates are possible on either side.
+                    return apply_binary(e.op, eval_out(*e.left),
+                                        eval_out(*e.right));
                 }
-                if (group.representative.empty()) return Value::null();
-                return eval.eval(e, group.representative);
+                // Over zero rows only table-free expressions have a value.
+                if (group.representative.empty() && max_table(e) >= 0)
+                    return Value::null();
+                Value scratch;
+                return eval.eval(e, group.representative, scratch);
             };
 
             if (stmt_.having && !truthy(eval_out(*stmt_.having))) continue;
@@ -973,10 +990,10 @@ private:
             ++acc.count;
             return;
         }
-        Value v = eval.eval(*agg.right, ctx);
+        Value scratch;
+        const Value& v = eval.eval(*agg.right, ctx, scratch);
         if (v.is_null()) return;
-        if (agg.distinct && !acc.distinct_seen.insert(v.to_string()).second)
-            return;
+        if (agg.distinct && !acc.distinct_seen.insert(v).second) return;
         ++acc.count;
         if (v.type() == rdb::ValueType::kInteger) {
             acc.isum += v.as_integer();

@@ -1,6 +1,9 @@
 // SQL subsystem: lexer, parser, executor semantics, join strategies.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
 #include "sql/executor.hpp"
 #include "sql/lexer.hpp"
 #include "sql/parser.hpp"
@@ -179,6 +182,10 @@ TEST_F(SqlFixture, AggregateOverEmptyInput) {
               0);
     EXPECT_TRUE(
         q("SELECT SUM(salary) FROM emp WHERE salary > 999").scalar().is_null());
+    EXPECT_EQ(q("SELECT COUNT(*) + 1 FROM emp WHERE salary > 999")
+                  .scalar()
+                  .as_integer(),
+              1);
 }
 
 TEST_F(SqlFixture, GroupByWithHaving) {
@@ -256,6 +263,142 @@ TEST_F(SqlFixture, ReexecutingParsedSelectIsStable) {
     SelectStmt s = parse_select("SELECT COUNT(*) FROM emp WHERE dept = 1");
     EXPECT_EQ(execute_select(db, s).scalar().as_integer(), 2);
     EXPECT_EQ(execute_select(db, s).scalar().as_integer(), 2);
+}
+
+// The evaluator borrows cells and literals and writes only computed values
+// into caller-owned scratch; these are the semantics that must survive it.
+TEST_F(SqlFixture, BorrowedEvaluationKeepsSemantics) {
+    // Comparisons with NULL are unknown and filter the row out.
+    EXPECT_EQ(q("SELECT name FROM emp WHERE dept = NULL").row_count(), 0u);
+    EXPECT_EQ(q("SELECT name FROM emp WHERE NULL = NULL").row_count(), 0u);
+    EXPECT_EQ(q("SELECT name FROM emp WHERE dept > 1 OR dept < 2").row_count(),
+              4u);
+    EXPECT_TRUE(q("SELECT dept = 1 FROM emp WHERE name = 'eve'")
+                    .scalar()
+                    .is_null());
+
+    // Text orders after numbers; integers and reals compare numerically.
+    EXPECT_EQ(q("SELECT name FROM emp WHERE name > 5").row_count(), 5u);
+    EXPECT_EQ(q("SELECT name FROM emp WHERE name < 5").row_count(), 0u);
+    EXPECT_EQ(q("SELECT name FROM emp WHERE 1 = 1.0").row_count(), 5u);
+    EXPECT_EQ(q("SELECT name FROM emp WHERE salary = 120.0").scalar().as_text(),
+              "ann");
+
+    // Several computed items in one row, and both sides of an operator
+    // computed: each result is copied out before the next reuses scratch.
+    auto rs = q("SELECT salary + 1, name, salary - 1, (salary + 1) * "
+                "(salary - 1), salary > 100, dept IS NULL FROM emp "
+                "WHERE name = 'bob'");
+    ASSERT_EQ(rs.row_count(), 1u);
+    EXPECT_EQ(rs.at(0, 0).as_integer(), 101);
+    EXPECT_EQ(rs.at(0, 1).as_text(), "bob");
+    EXPECT_EQ(rs.at(0, 2).as_integer(), 99);
+    EXPECT_EQ(rs.at(0, 3).as_integer(), 9999);
+    EXPECT_EQ(rs.at(0, 4).as_integer(), 0);
+    EXPECT_EQ(rs.at(0, 5).as_integer(), 0);
+
+    // ORDER BY a computed key that is not a select item; NULL sorts first.
+    rs = q("SELECT name FROM emp ORDER BY salary * dept, name");
+    ASSERT_EQ(rs.row_count(), 5u);
+    EXPECT_EQ(rs.at(0, 0).as_text(), "eve");   // NULL key
+    EXPECT_EQ(rs.at(1, 0).as_text(), "bob");   // 100
+    EXPECT_EQ(rs.at(2, 0).as_text(), "ann");   // 120
+    EXPECT_EQ(rs.at(3, 0).as_text(), "cat");   // 180
+    EXPECT_EQ(rs.at(4, 0).as_text(), "dan");   // 220
+
+    // Literal range bounds on an ordered index: a binary-searched range.
+    db.table("emp")->create_index("salary", rdb::IndexKind::kOrdered);
+    ExecStats range;
+    rs = q("SELECT name FROM emp WHERE salary > 90 AND salary <= 110 "
+           "ORDER BY name", &range);
+    ASSERT_EQ(rs.row_count(), 2u);
+    EXPECT_EQ(rs.at(0, 0).as_text(), "bob");
+    EXPECT_EQ(rs.at(1, 0).as_text(), "dan");
+    EXPECT_EQ(range.range_scans, 1u);
+    EXPECT_EQ(range.rows_scanned, 2u);
+}
+
+// Join keys are text longer than the small-string buffer, so a borrowed
+// probe key that dangled would read freed heap memory (ASan lane).
+TEST_F(SqlFixture, TextKeyedEquiJoinByIndexAndByHash) {
+    const std::string a = "alexandra-longname-0001", b = "bartholomew-longname-02";
+    execute(db, "CREATE TABLE person (pk INTEGER PRIMARY KEY, full TEXT)");
+    execute(db, "CREATE TABLE handle (pk INTEGER PRIMARY KEY, full TEXT, "
+                "tag TEXT)");
+    execute(db, "INSERT INTO person (full) VALUES ('" + a + "'), ('" + b +
+                    "'), ('nobody-with-a-long-name'), (NULL)");
+    execute(db, "INSERT INTO handle (full, tag) VALUES ('" + a +
+                    "', 'alex-the-long-handle'), ('" + b +
+                    "', 'bart-the-long-handle'), ('" + a +
+                    "', 'sandra-long-handle'), (NULL, 'orphan')");
+    const std::string sql =
+        "SELECT p.full, h.tag FROM person p JOIN handle h ON h.full = p.full "
+        "ORDER BY h.tag";
+    auto check = [&](const ResultSet& rs) {
+        ASSERT_EQ(rs.row_count(), 3u);
+        EXPECT_EQ(rs.at(0, 0).as_text(), a);
+        EXPECT_EQ(rs.at(0, 1).as_text(), "alex-the-long-handle");
+        EXPECT_EQ(rs.at(1, 0).as_text(), b);
+        EXPECT_EQ(rs.at(2, 1).as_text(), "sandra-long-handle");
+    };
+    PlannerOptions off;  // keep person as the driving table
+    off.enable = false;
+
+    ExecStats hashed;
+    check(execute(db, sql, &hashed, {}, &off));
+    EXPECT_EQ(hashed.hash_joins, 1u);
+    EXPECT_EQ(hashed.index_lookups, 0u);
+
+    db.table("handle")->create_index("full");
+    ExecStats probed;
+    check(execute(db, sql, &probed, {}, &off));
+    EXPECT_EQ(probed.hash_joins, 0u);
+    EXPECT_EQ(probed.index_lookups, 3u);  // the NULL key never probes
+}
+
+// GROUP BY and COUNT(DISTINCT) key on the Values (index_order equality),
+// as SELECT DISTINCT does, not on their renderings.
+TEST_F(SqlFixture, GroupingKeysOnValuesNotRenderings) {
+    execute(db, "CREATE TABLE g (pk INTEGER PRIMARY KEY, t TEXT, r REAL)");
+    execute(db, "INSERT INTO g (t, r) VALUES (NULL, 0.1234561), "
+                "('NULL', 0.1234564), ('NULL', 0.5)");
+    auto rs = q("SELECT t, COUNT(*) FROM g GROUP BY t ORDER BY 1");
+    ASSERT_EQ(rs.row_count(), 2u);
+    EXPECT_TRUE(rs.at(0, 0).is_null());
+    EXPECT_EQ(rs.at(0, 1).as_integer(), 1);
+    EXPECT_EQ(rs.at(1, 0).as_text(), "NULL");
+    EXPECT_EQ(rs.at(1, 1).as_integer(), 2);
+
+    EXPECT_EQ(q("SELECT DISTINCT r FROM g").row_count(), 3u);
+    EXPECT_EQ(q("SELECT r FROM g GROUP BY r").row_count(), 3u);
+    EXPECT_EQ(q("SELECT COUNT(DISTINCT r) FROM g").scalar().as_integer(), 3);
+    EXPECT_DOUBLE_EQ(q("SELECT SUM(DISTINCT r) FROM g").scalar().as_real(),
+                     0.1234561 + 0.1234564 + 0.5);
+}
+
+TEST_F(SqlFixture, LikeBacktracksWithoutBlowingUp) {
+    // More edge cases of the two wildcards.
+    EXPECT_EQ(q("SELECT name FROM emp WHERE name LIKE '%'").row_count(), 5u);
+    EXPECT_EQ(q("SELECT name FROM emp WHERE name LIKE '%%n%'").row_count(), 2u);
+    EXPECT_EQ(q("SELECT name FROM emp WHERE name LIKE '_%_'").row_count(), 5u);
+    EXPECT_EQ(q("SELECT name FROM emp WHERE name LIKE '____'").row_count(), 0u);
+    EXPECT_EQ(q("SELECT name FROM emp WHERE name LIKE '%e'").row_count(), 1u);
+    EXPECT_EQ(q("SELECT name FROM emp WHERE name LIKE 'a%n'").row_count(), 1u);
+    EXPECT_EQ(q("SELECT name FROM emp WHERE name LIKE 'b%b'").row_count(), 1u);
+
+    // A pattern that tries every split at each '%' is exponential in the
+    // number of '%'s: nine of them over 40 characters.
+    execute(db, "CREATE TABLE s (pk INTEGER PRIMARY KEY, s TEXT)");
+    execute(db, "INSERT INTO s (s) VALUES ('" + std::string(40, 'a') + "')");
+    auto t0 = std::chrono::steady_clock::now();
+    EXPECT_EQ(q("SELECT s FROM s WHERE s LIKE '%a%a%a%a%a%a%a%a%b'").row_count(),
+              0u);
+    EXPECT_EQ(q("SELECT s FROM s WHERE s LIKE '%a%a%a%a%a%a%a%a%a'").row_count(),
+              1u);
+    EXPECT_EQ(q("SELECT s FROM s WHERE s LIKE '%a%a%a%a%a%a%a%a%_a'").row_count(),
+              1u);
+    auto elapsed = std::chrono::steady_clock::now() - t0;
+    EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 }  // namespace
