@@ -7,7 +7,8 @@
 # overload/cancellation lifecycle, the MiniRDB unit tests (the
 # copy-on-write B+tree's node splits, path copies and lazy deletes), the
 # SQL executor (its evaluator hands out references into table rows,
-# literals and caller-owned scratch values, exactly where a dangling
+# literals and caller-owned scratch values, and its batch-filter kernels
+# keep pointers to the statement's literals, exactly where a dangling
 # reference would hide) through the SQL unit tests and the differential
 # query fuzzer, and a short torture campaign — every code path that
 # handles torn/corrupt input, label arithmetic, shared index nodes,
@@ -32,7 +33,7 @@
 # interval label arithmetic, the query fuzzer, the integrity checker
 # (which sums attacker-controlled label spans), the MiniRDB unit
 # tests (B+tree split/rank index arithmetic) and the SQL unit tests (the
-# executor's signed integer arithmetic) — the code where a silent
+# executor's signed integer arithmetic, the batch filter's compaction) — the code where a silent
 # overflow would skew a plan or an index rather than crash.
 #
 # Both ASan and TSan lanes also carry the planner label: statistics are

@@ -44,6 +44,10 @@ public:
     [[nodiscard]] std::int64_t as_integer() const;
     [[nodiscard]] double as_real() const;   ///< integers widen
     [[nodiscard]] const std::string& as_text() const;
+    /// The text, or nullptr when the value is not TEXT; never throws.
+    [[nodiscard]] const std::string* text_if() const {
+        return std::get_if<std::string>(&data_);
+    }
 
     /// Render for result sets ('NULL', bare number, or the text).
     [[nodiscard]] std::string to_string() const;

@@ -1,7 +1,10 @@
 #include "sql/executor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <functional>
+#include <optional>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -122,6 +125,18 @@ private:
     }
 };
 
+/// Whether comparison `op` holds for operands ordered `ord`.
+bool comparison_holds(BinaryOp op, std::strong_ordering ord) {
+    switch (op) {
+        case BinaryOp::kEq: return ord == std::strong_ordering::equal;
+        case BinaryOp::kNe: return ord != std::strong_ordering::equal;
+        case BinaryOp::kLt: return ord == std::strong_ordering::less;
+        case BinaryOp::kLe: return ord != std::strong_ordering::greater;
+        case BinaryOp::kGt: return ord == std::strong_ordering::greater;
+        default: return ord != std::strong_ordering::less;
+    }
+}
+
 /// Applies a non-short-circuit binary operator to two evaluated operands.
 /// The result is never text, so building it allocates nothing.
 Value apply_binary(BinaryOp op, const Value& a, const Value& b) {
@@ -138,16 +153,7 @@ Value apply_binary(BinaryOp op, const Value& a, const Value& b) {
         case BinaryOp::kGe: {
             auto ord = a.compare(b);
             if (!ord) return Value::null();
-            bool r = false;
-            switch (op) {
-                case BinaryOp::kEq: r = *ord == std::strong_ordering::equal; break;
-                case BinaryOp::kNe: r = *ord != std::strong_ordering::equal; break;
-                case BinaryOp::kLt: r = *ord == std::strong_ordering::less; break;
-                case BinaryOp::kLe: r = *ord != std::strong_ordering::greater; break;
-                case BinaryOp::kGt: r = *ord == std::strong_ordering::greater; break;
-                default: r = *ord != std::strong_ordering::less; break;
-            }
-            return Value(static_cast<std::int64_t>(r));
+            return Value(static_cast<std::int64_t>(comparison_holds(op, *ord)));
         }
         case BinaryOp::kLike: {
             if (a.is_null() || b.is_null()) return Value::null();
@@ -202,7 +208,7 @@ class Evaluator {
 public:
     explicit Evaluator(const std::vector<BoundTable>& tables) : tables_(tables) {}
 
-    const Value& eval(const Expr& e, const std::vector<RowId>& ctx,
+    const Value& eval(const Expr& e, std::span<const RowId> ctx,
                       Value& scratch) const {
         switch (e.kind) {
             case Expr::Kind::kLiteral:
@@ -232,7 +238,7 @@ public:
 private:
     const std::vector<BoundTable>& tables_;
 
-    const Value& eval_binary(const Expr& e, const std::vector<RowId>& ctx,
+    const Value& eval_binary(const Expr& e, std::span<const RowId> ctx,
                              Value& scratch) const {
         // Short-circuit logic: each side is reduced to a bool before the
         // next evaluation reuses `scratch`.
@@ -279,6 +285,55 @@ bool contains_aggregate(const Expr& e) {
     }
 }
 
+/// A residual conjunct `column op literal` on a stage's own table, compiled
+/// for the batch filter (DESIGN.md §13, "Execution: batch filtering").
+/// `literal op column` is stored with its sides swapped, so `op` always
+/// reads column-first.  `literal` points into the statement's AST, which
+/// outlives the execution.
+struct Kernel {
+    int column = -1;
+    BinaryOp op = BinaryOp::kEq;
+    const Value* literal = nullptr;
+
+    /// Exactly truthy(apply_binary(op, cell, *literal)): NULL is unknown
+    /// and fails, types order as in Value::compare.  Never throws.
+    [[nodiscard]] bool holds(const Value& cell) const {
+        const std::string* text = literal->text_if();
+        const std::string* cell_text = cell.text_if();
+        if (text != nullptr && cell_text != nullptr) {
+            // Text equality tests the lengths before any byte.
+            if (op == BinaryOp::kEq) return *cell_text == *text;
+            if (op == BinaryOp::kNe) return *cell_text != *text;
+            return comparison_holds(op, *cell_text <=> *text);
+        }
+        auto ord = cell.compare(*literal);
+        return ord && comparison_holds(op, *ord);
+    }
+};
+
+/// Compiles `e` into a kernel when it is `column op literal` or `literal op
+/// column` with a comparison operator.
+std::optional<Kernel> compile_kernel(const Expr& e) {
+    if (e.kind != Expr::Kind::kBinary) return std::nullopt;
+    BinaryOp flipped;
+    switch (e.op) {
+        case BinaryOp::kEq: flipped = BinaryOp::kEq; break;
+        case BinaryOp::kNe: flipped = BinaryOp::kNe; break;
+        case BinaryOp::kLt: flipped = BinaryOp::kGt; break;
+        case BinaryOp::kLe: flipped = BinaryOp::kGe; break;
+        case BinaryOp::kGt: flipped = BinaryOp::kLt; break;
+        case BinaryOp::kGe: flipped = BinaryOp::kLe; break;
+        default: return std::nullopt;
+    }
+    const Expr& l = *e.left;
+    const Expr& r = *e.right;
+    if (l.kind == Expr::Kind::kColumn && r.kind == Expr::Kind::kLiteral)
+        return Kernel{l.bound_column, e.op, &r.literal};
+    if (l.kind == Expr::Kind::kLiteral && r.kind == Expr::Kind::kColumn)
+        return Kernel{r.bound_column, flipped, &l.literal};
+    return std::nullopt;
+}
+
 /// One stage of the left-deep join pipeline.
 struct Stage {
     int table = 0;
@@ -301,7 +356,8 @@ struct Stage {
     bool range_lo_strict = false;
     const Expr* range_hi = nullptr;
     bool range_hi_strict = false;
-    std::vector<const Expr*> residual;  ///< filters applied at this stage
+    std::vector<Kernel> kernels;  ///< batch filters, run before `residual`
+    std::vector<const Expr*> residual;  ///< generic filters at this stage
 };
 
 /// Row hashing/equality over Values for DISTINCT (NULLs compare equal,
@@ -403,10 +459,11 @@ public:
             // Aggregation and sorting need every row context at once; each
             // buffered context counts against the row budget — this
             // intermediate buffer is exactly the memory a budget guards.
-            std::vector<std::vector<RowId>> contexts;
-            enumerate(eval, [&](const std::vector<RowId>& ctx) {
+            // One flat buffer, a context every tables_.size() ids.
+            std::vector<RowId> contexts;
+            enumerate(eval, [&](std::span<const RowId> ctx) {
                 cancel_.charge_rows();
-                contexts.push_back(ctx);
+                contexts.insert(contexts.end(), ctx.begin(), ctx.end());
             });
             if (aggregate) run_aggregate(eval, contexts, result);
             else run_plain(eval, contexts, result);
@@ -415,7 +472,7 @@ public:
             // enumeration — no materialized context list, no second pass.
             // This keeps the cold path of a bare structural scan (a
             // join-free '//x' interval plan) at one row copy per result.
-            enumerate(eval, [&](const std::vector<RowId>& ctx) {
+            enumerate(eval, [&](std::span<const RowId> ctx) {
                 Row out = project(eval, ctx);
                 charge_output(out);
                 result.rows.push_back(std::move(out));
@@ -467,9 +524,10 @@ private:
     /// fault point and polls the token.  A fired deadline / cancel unwinds
     /// as the matching CancelledError with no state to clean up (SELECTs
     /// have no side effects; the local stats fold simply never happens).
-    void poll_cancel() {
-        if (++since_poll_ < kCancelPollInterval) return;
-        since_poll_ = 0;
+    void poll_cancel(std::size_t rows = 1) {
+        since_poll_ += rows;  // rows <= kCancelPollInterval: one poll at most
+        if (since_poll_ < kCancelPollInterval) return;
+        since_poll_ -= kCancelPollInterval;
         count(&ExecStats::cancel_polls);
         fault::maybe_fail("exec.cancel_poll");
         cancel_.check();
@@ -512,15 +570,21 @@ private:
         for (const auto& join : stmt_.joins) add(join.table);
     }
 
+    /// Whether a probe of `column` of stage `s` can use the table's own
+    /// index rather than an ad-hoc hash; the pk column's lookup structure
+    /// counts as an index.
+    [[nodiscard]] bool probe_indexed(std::size_t s, int column) const {
+        const Table* t = tables_[s].table;
+        const rdb::ColumnDef& def = t->def().columns[column];
+        return def.primary_key || t->has_index(def.name);
+    }
+
     void build_stages() {
         // Gather conjuncts of all ON clauses and WHERE, each annotated with
         // the latest stage it can run at.
         std::vector<const Expr*> conjuncts;
-        std::vector<std::vector<ExprPtr>> storage;  // keep ownership
         auto split = [&](const ExprPtr& e) {
             if (!e) return;
-            std::vector<ExprPtr> parts;
-            // We cannot move from the statement (const); walk instead.
             std::function<void(const Expr*)> walk = [&](const Expr* node) {
                 if (node->kind == Expr::Kind::kBinary &&
                     node->op == BinaryOp::kAnd) {
@@ -534,7 +598,6 @@ private:
         };
         for (const auto& join : stmt_.joins) split(join.on);
         split(stmt_.where);
-        (void)storage;
 
         stages_.resize(tables_.size());
         for (std::size_t i = 0; i < tables_.size(); ++i)
@@ -542,32 +605,44 @@ private:
 
         std::vector<bool> used(conjuncts.size(), false);
 
-        // Pick equi-join drivers for stages 1..n-1.
-        for (std::size_t s = 1; s < stages_.size(); ++s) {
-            for (std::size_t c = 0; c < conjuncts.size(); ++c) {
-                if (used[c]) continue;
-                const Expr* e = conjuncts[c];
-                if (e->kind != Expr::Kind::kBinary || e->op != BinaryOp::kEq)
-                    continue;
-                const Expr *inner = nullptr, *outer = nullptr;
-                auto classify = [&](const Expr* side, const Expr* other) {
-                    if (side->kind == Expr::Kind::kColumn &&
-                        side->bound_table == static_cast<int>(s) &&
-                        max_table(*other) < static_cast<int>(s) &&
-                        max_table(*other) >= -1) {
-                        inner = side;
-                        outer = other;
-                    }
-                };
-                classify(e->left.get(), e->right.get());
-                if (inner == nullptr) classify(e->right.get(), e->left.get());
-                if (inner == nullptr) continue;
-                stages_[s].probe_outer = outer;
-                stages_[s].inner_column = inner->bound_column;
-                used[c] = true;
-                break;
+        // Pick equi-join drivers for stages 1..n-1.  A table-free key on a
+        // column with no index would make the probe build an ad-hoc hash of
+        // the whole table, every execution, for one constant key; the
+        // planner costs such a conjunct as a filter, not a join.  So it
+        // drives a stage only when nothing else can (`literal_hash`, after
+        // the range probes below); otherwise it runs as a kernel.
+        auto pick_drivers = [&](bool literal_hash) {
+            for (std::size_t s = 1; s < stages_.size(); ++s) {
+                Stage& st = stages_[s];
+                if (st.probe_outer != nullptr || st.range_column >= 0) continue;
+                for (std::size_t c = 0; c < conjuncts.size(); ++c) {
+                    if (used[c]) continue;
+                    const Expr* e = conjuncts[c];
+                    if (e->kind != Expr::Kind::kBinary || e->op != BinaryOp::kEq)
+                        continue;
+                    const Expr *inner = nullptr, *outer = nullptr;
+                    auto classify = [&](const Expr* side, const Expr* other) {
+                        if (side->kind == Expr::Kind::kColumn &&
+                            side->bound_table == static_cast<int>(s) &&
+                            max_table(*other) < static_cast<int>(s)) {
+                            inner = side;
+                            outer = other;
+                        }
+                    };
+                    classify(e->left.get(), e->right.get());
+                    if (inner == nullptr) classify(e->right.get(), e->left.get());
+                    if (inner == nullptr) continue;
+                    bool hashed_literal = max_table(*outer) < 0 &&
+                                          !probe_indexed(s, inner->bound_column);
+                    if (hashed_literal != literal_hash) continue;
+                    st.probe_outer = outer;
+                    st.inner_column = inner->bound_column;
+                    used[c] = true;
+                    break;
+                }
             }
-        }
+        };
+        pick_drivers(false);
 
         // Driving-table literal equality: consumed only when the column is
         // actually indexed — otherwise the conjunct must stay a residual
@@ -652,11 +727,18 @@ private:
             }
         }
 
-        // Everything else becomes a residual at the earliest possible stage.
+        pick_drivers(true);
+
+        // Everything else filters at the earliest possible stage: as a
+        // batch kernel when it compares a column of that stage's table with
+        // a literal, else as a generic residual.
         for (std::size_t c = 0; c < conjuncts.size(); ++c) {
             if (used[c]) continue;
-            int stage = std::max(0, max_table(*conjuncts[c]));
-            stages_[stage].residual.push_back(conjuncts[c]);
+            Stage& st = stages_[std::max(0, max_table(*conjuncts[c]))];
+            if (auto kernel = compile_kernel(*conjuncts[c]))
+                st.kernels.push_back(*kernel);
+            else
+                st.residual.push_back(conjuncts[c]);
         }
 
         // Prepare access paths.
@@ -670,11 +752,7 @@ private:
             Stage& st = stages_[s];
             if (st.probe_outer == nullptr) continue;
             const Table* t = tables_[s].table;
-            const std::string& col = t->def().columns[st.inner_column].name;
-            // Prefer the table's own index over an ad-hoc hash; the pk
-            // column's lookup structure counts as an index.
-            if (t->has_index(col) ||
-                t->def().columns[st.inner_column].primary_key) {
+            if (probe_indexed(s, st.inner_column)) {
                 st.use_index = true;
             } else {
                 for (RowId id = 0; id < t->row_count(); ++id)
@@ -685,92 +763,136 @@ private:
     }
 
     void enumerate(const Evaluator& eval,
-                   const std::function<void(const std::vector<RowId>&)>& emit) {
+                   const std::function<void(std::span<const RowId>)>& emit) {
         std::vector<RowId> ctx(tables_.size());
 
         std::function<void(std::size_t)> descend = [&](std::size_t s) {
-            Stage& stage = stages_[s];
-            const Table* t = tables_[s].table;
+            const Stage& stage = stages_[s];
             Value scratch;  // residual results; a borrowed cell needs none
-
-            auto accept = [&](RowId id) {
-                ctx[s] = id;
-                count(&ExecStats::rows_scanned);
-                poll_cancel();
+            // The access path's candidates collect here and go through the
+            // batch filter kCancelPollInterval at a time; only survivors
+            // reach the generic residuals and the next stage.
+            std::array<RowId, kCancelPollInterval> batch;
+            std::size_t pending = 0;
+            auto residuals_hold = [&] {
                 for (const Expr* r : stage.residual)
-                    if (!truthy(eval.eval(*r, ctx, scratch))) return;
-                if (s + 1 == stages_.size()) emit(ctx);
-                else descend(s + 1);
+                    if (!truthy(eval.eval(*r, ctx, scratch))) return false;
+                return true;
             };
-
-            if (s == 0 && stage.driving_eq_literal != nullptr &&
-                stage.driving_index) {
-                const std::string& col =
-                    t->def().columns[stage.driving_column].name;
-                count(&ExecStats::index_lookups);
-                for (RowId id :
-                     t->index_lookup(col, stage.driving_eq_literal->literal))
-                    accept(id);
-                return;
-            }
-
-            if (stage.probe_outer != nullptr) {
-                Value key_scratch;
-                const Value& key =
-                    eval.eval(*stage.probe_outer, ctx, key_scratch);
-                if (key.is_null()) return;
-                if (stage.use_index) {
-                    const auto& coldef = t->def().columns[stage.inner_column];
-                    count(&ExecStats::index_lookups);
-                    if (coldef.primary_key && !t->has_index(coldef.name)) {
-                        if (auto id = t->find_pk_rowid(key.as_integer()))
-                            accept(*id);
-                    } else {
-                        for (RowId id : t->index_lookup(coldef.name, key))
-                            accept(id);
-                    }
-                } else {
-                    auto range = stage.hash.equal_range(key);
-                    for (auto it = range.first; it != range.second; ++it)
-                        accept(it->second);
+            auto flush = [&] {
+                std::size_t kept = filter_batch(s, batch.data(), pending);
+                pending = 0;
+                for (std::size_t i = 0; i < kept; ++i) {
+                    ctx[s] = batch[i];
+                    if (!residuals_hold()) continue;
+                    if (s + 1 == stages_.size()) emit(ctx);
+                    else descend(s + 1);
                 }
-                return;
-            }
-
-            if (stage.range_column >= 0) {
-                // Stage 0 reaches here too: literal bounds evaluate against
-                // the (empty) outer context and binary-search the driving
-                // table's ordered index instead of scanning it.
-                const std::string& col =
-                    t->def().columns[stage.range_column].name;
-                Value lo_scratch, hi_scratch;
-                const Value *lop = nullptr, *hip = nullptr;
-                if (stage.range_lo != nullptr) {
-                    lop = &eval.eval(*stage.range_lo, ctx, lo_scratch);
-                    if (lop->is_null()) return;  // unknown bound: no matches
-                }
-                if (stage.range_hi != nullptr) {
-                    hip = &eval.eval(*stage.range_hi, ctx, hi_scratch);
-                    if (hip->is_null()) return;
-                }
-                count(&ExecStats::range_scans);
-                for (RowId id :
-                     t->index_range_lookup(col, lop, stage.range_lo_strict,
-                                           hip, stage.range_hi_strict))
-                    accept(id);
-                return;
-            }
-
-            if (s > 0) count(&ExecStats::nested_loop_joins);
-            for (RowId id = 0; id < t->row_count(); ++id) accept(id);
+            };
+            for_each_candidate(s, eval, ctx, [&](RowId id) {
+                batch[pending++] = id;
+                if (pending == batch.size()) flush();
+            });
+            flush();
         };
 
         if (tables_.empty()) return;
         descend(0);
     }
 
+    /// The batch filter every access path feeds: counts the `n` candidate
+    /// rows of stage `s` as scanned, polls the token once per
+    /// kCancelPollInterval of them, then runs each kernel over the batch
+    /// in a tight loop, compacting survivors to the front of `ids`.
+    /// Returns how many survived.
+    std::size_t filter_batch(std::size_t s, RowId* ids, std::size_t n) {
+        if (n == 0) return 0;
+        count(&ExecStats::rows_scanned, n);
+        poll_cancel(n);
+        const Table& t = *tables_[s].table;
+        for (const Kernel& k : stages_[s].kernels) {
+            std::size_t kept = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                RowId id = ids[i];
+                ids[kept] = id;
+                kept += k.holds(t.row(id)[k.column]);
+            }
+            n = kept;
+        }
+        return n;
+    }
+
+    /// Hands every candidate row of stage `s` for the outer context `ctx`
+    /// to `accept`, through the stage's access path: the driving index
+    /// lookup, the equi-join index or hash probe, the range lookup, or the
+    /// full scan.
+    template <class Accept>
+    void for_each_candidate(std::size_t s, const Evaluator& eval,
+                            std::span<const RowId> ctx, Accept&& accept) {
+        const Stage& stage = stages_[s];
+        const Table* t = tables_[s].table;
+
+        if (s == 0 && stage.driving_eq_literal != nullptr &&
+            stage.driving_index) {
+            const std::string& col =
+                t->def().columns[stage.driving_column].name;
+            count(&ExecStats::index_lookups);
+            for (RowId id :
+                 t->index_lookup(col, stage.driving_eq_literal->literal))
+                accept(id);
+            return;
+        }
+
+        if (stage.probe_outer != nullptr) {
+            Value key_scratch;
+            const Value& key = eval.eval(*stage.probe_outer, ctx, key_scratch);
+            if (key.is_null()) return;
+            if (stage.use_index) {
+                const auto& coldef = t->def().columns[stage.inner_column];
+                count(&ExecStats::index_lookups);
+                if (coldef.primary_key && !t->has_index(coldef.name)) {
+                    if (auto id = t->find_pk_rowid(key.as_integer()))
+                        accept(*id);
+                } else {
+                    for (RowId id : t->index_lookup(coldef.name, key))
+                        accept(id);
+                }
+            } else {
+                auto range = stage.hash.equal_range(key);
+                for (auto it = range.first; it != range.second; ++it)
+                    accept(it->second);
+            }
+            return;
+        }
+
+        if (stage.range_column >= 0) {
+            // Stage 0 reaches here too: literal bounds evaluate against
+            // the (empty) outer context and binary-search the driving
+            // table's ordered index instead of scanning it.
+            const std::string& col = t->def().columns[stage.range_column].name;
+            Value lo_scratch, hi_scratch;
+            const Value *lop = nullptr, *hip = nullptr;
+            if (stage.range_lo != nullptr) {
+                lop = &eval.eval(*stage.range_lo, ctx, lo_scratch);
+                if (lop->is_null()) return;  // unknown bound: no matches
+            }
+            if (stage.range_hi != nullptr) {
+                hip = &eval.eval(*stage.range_hi, ctx, hi_scratch);
+                if (hip->is_null()) return;
+            }
+            count(&ExecStats::range_scans);
+            for (RowId id : t->index_range_lookup(col, lop, stage.range_lo_strict,
+                                                  hip, stage.range_hi_strict))
+                accept(id);
+            return;
+        }
+
+        if (s > 0) count(&ExecStats::nested_loop_joins);
+        for (RowId id = 0; id < t->row_count(); ++id) accept(id);
+    }
+
     /// One output row of a non-aggregate select.
-    Row project(const Evaluator& eval, const std::vector<RowId>& ctx) const {
+    Row project(const Evaluator& eval, std::span<const RowId> ctx) const {
         Row out;
         out.reserve(stmt_.items.size());
         Value scratch;
@@ -801,20 +923,28 @@ private:
         }
     }
 
-    void run_plain(const Evaluator& eval,
-                   const std::vector<std::vector<RowId>>& contexts,
+    /// The `i`-th row context of a flat context buffer.
+    [[nodiscard]] std::span<const RowId> context(std::span<const RowId> contexts,
+                                                 std::size_t i) const {
+        return contexts.subspan(i * tables_.size(), tables_.size());
+    }
+    [[nodiscard]] std::size_t context_count(
+        std::span<const RowId> contexts) const {
+        return contexts.size() / tables_.size();
+    }
+
+    void run_plain(const Evaluator& eval, std::span<const RowId> contexts,
                    ResultSet& result) {
-        for (const auto& ctx : contexts) {
+        for (std::size_t i = 0; i < context_count(contexts); ++i) {
             poll_cancel();
-            Row out = project(eval, ctx);
+            Row out = project(eval, context(contexts, i));
             charge_output(out);
             result.rows.push_back(std::move(out));
         }
         sort_rows(eval, contexts, result);
     }
 
-    void sort_rows(const Evaluator& eval,
-                   const std::vector<std::vector<RowId>>& contexts,
+    void sort_rows(const Evaluator& eval, std::span<const RowId> contexts,
                    ResultSet& result) {
         if (stmt_.order_by.empty()) return;
         // Evaluate sort keys per row, then sort row/key pairs together.
@@ -833,9 +963,9 @@ private:
                 int out = order_output_idx_[j];
                 if (out >= 0 && out < static_cast<int>(k.row.size()))
                     k.keys.push_back(k.row[out]);
-                else if (i < contexts.size())
-                    k.keys.push_back(
-                        eval.eval(*stmt_.order_by[j].expr, contexts[i], scratch));
+                else if (i < context_count(contexts))
+                    k.keys.push_back(eval.eval(*stmt_.order_by[j].expr,
+                                               context(contexts, i), scratch));
                 else
                     k.keys.push_back(Value::null());
             }
@@ -867,8 +997,7 @@ private:
         std::unordered_set<Value, rdb::ValueHash> distinct_seen;
     };
 
-    void run_aggregate(const Evaluator& eval,
-                       const std::vector<std::vector<RowId>>& contexts,
+    void run_aggregate(const Evaluator& eval, std::span<const RowId> contexts,
                        ResultSet& result) {
         // Collect aggregate expressions across items + HAVING.
         std::vector<const Expr*> aggs;
@@ -900,14 +1029,16 @@ private:
         std::unordered_map<Row, std::size_t, RowHasher, RowEqual> group_of;
         Row key;
         Value scratch;
-        for (const auto& ctx : contexts) {
+        for (std::size_t i = 0; i < context_count(contexts); ++i) {
             poll_cancel();
+            std::span<const RowId> ctx = context(contexts, i);
             key.clear();
             for (const auto& g : stmt_.group_by)
                 key.push_back(eval.eval(*g, ctx, scratch));
             auto [it, inserted] = group_of.try_emplace(key, groups.size());
             if (inserted) {
-                groups.push_back({ctx, std::vector<Accumulator>(aggs.size())});
+                groups.push_back({{ctx.begin(), ctx.end()},
+                                  std::vector<Accumulator>(aggs.size())});
             }
             Group& group = groups[it->second];
             for (std::size_t a = 0; a < aggs.size(); ++a)
@@ -985,7 +1116,7 @@ private:
     }
 
     void accumulate(const Evaluator& eval, const Expr& agg,
-                    const std::vector<RowId>& ctx, Accumulator& acc) {
+                    std::span<const RowId> ctx, Accumulator& acc) {
         if (agg.right->kind == Expr::Kind::kStar) {
             ++acc.count;
             return;

@@ -5,7 +5,9 @@
 //     index scans;
 //   * equi-joins build a hash table on the inner side, or use an existing
 //     index when one matches;
-//   * remaining predicates filter after the joins;
+//   * column-vs-literal predicates filter each stage's candidate rows in
+//     batches, as compiled comparison kernels; the remaining predicates
+//     filter at the earliest stage that binds their tables;
 //   * aggregation, GROUP BY / HAVING, ORDER BY and LIMIT run as final
 //     phases.
 // The same engine executes the paper-motivated workloads both for the

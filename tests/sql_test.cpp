@@ -3,6 +3,7 @@
 
 #include <chrono>
 #include <string>
+#include <vector>
 
 #include "sql/executor.hpp"
 #include "sql/lexer.hpp"
@@ -399,6 +400,175 @@ TEST_F(SqlFixture, LikeBacktracksWithoutBlowingUp) {
               1u);
     auto elapsed = std::chrono::steady_clock::now() - t0;
     EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
+// Compiled column-vs-literal filters (the batch kernels) must accept exactly
+// the rows the generic evaluator accepts.  `(P) = 1` is the generic spelling
+// of P: its left side is not a column, so it never compiles to a kernel,
+// and it is truthy exactly when P is.  Every access path feeds the same
+// batch filter, so each predicate runs behind each of them.
+TEST_F(SqlFixture, ComparisonKernelsMatchGenericEvaluation) {
+    execute(db, "CREATE TABLE k (pk INTEGER PRIMARY KEY, t TEXT, i INTEGER, "
+                "r REAL, ix TEXT, o INTEGER, fk INTEGER)");
+    execute(db, "CREATE TABLE p (pk INTEGER PRIMARY KEY)");
+    const std::vector<std::string> texts = {
+        "NULL", "'bob'", "'ann'", "''", "'x-long-text-value-beyond-sso-buffer'",
+        "'x-long-text-value-beyond-sso-bufferZ'", "'5'"};
+    const std::vector<std::string> ints = {"NULL", "1", "5", "0", "7", "2"};
+    const std::vector<std::string> reals = {"NULL", "1.0", "5.0", "4.5", "0.25"};
+    for (int row = 0; row < 140; ++row) {
+        execute(db, "INSERT INTO k (t, i, r, ix, o, fk) VALUES (" +
+                        texts[row % texts.size()] + ", " +
+                        ints[row % ints.size()] + ", " +
+                        reals[row % reals.size()] + ", 'key" +
+                        std::to_string(row % 3) + "', " + std::to_string(row) +
+                        ", " + std::to_string(row % 10) + ")");
+    }
+    for (int row = 0; row < 10; ++row)
+        execute(db, "INSERT INTO p (pk) VALUES (" + std::to_string(row) + ")");
+    db.table("k")->create_index("ix");
+    db.table("k")->create_index("o", rdb::IndexKind::kOrdered);
+
+    const std::vector<std::string> columns = {"k.t", "k.i", "k.r"};
+    const std::vector<std::string> ops = {"=", "<>", "<", "<=", ">", ">="};
+    const std::vector<std::string> literals = {
+        "'bob'", "'x-long-text-value-beyond-sso-buffer'", "''", "'5'",
+        "5", "1", "1.0", "5.0", "0", "NULL"};
+    PlannerOptions off;  // keep the written join order: p drives, k probes
+    off.enable = false;
+
+    // `shape` holds one '%' where the predicate goes.
+    auto check_all = [&](const std::string& shape, auto&& expect_path) {
+        std::size_t nonempty = 0;
+        for (const auto& c : columns)
+            for (const auto& op : ops)
+                for (const auto& lit : literals)
+                    for (bool literal_first : {false, true}) {
+                        std::string pred = literal_first ? lit + " " + op + " " + c
+                                                         : c + " " + op + " " + lit;
+                        auto at = shape.find('%');
+                        std::string kernel = shape, generic = shape;
+                        kernel.replace(at, 1, pred);
+                        generic.replace(at, 1, "(" + pred + ") = 1");
+                        ExecStats ks, gs;
+                        ResultSet a = execute(db, kernel, &ks, {}, &off);
+                        ResultSet b = execute(db, generic, &gs, {}, &off);
+                        ASSERT_EQ(a.row_count(), b.row_count()) << kernel;
+                        for (std::size_t r = 0; r < a.row_count(); ++r)
+                            ASSERT_EQ(a.at(r, 0).as_integer(),
+                                      b.at(r, 0).as_integer())
+                                << kernel;
+                        EXPECT_EQ(ks.rows_scanned, gs.rows_scanned) << kernel;
+                        expect_path(ks);
+                        nonempty += a.row_count() > 0;
+                    }
+        EXPECT_GT(nonempty, 0u) << shape;
+    };
+    check_all("SELECT k.pk FROM k WHERE % ORDER BY k.pk",
+              [](const ExecStats& s) { EXPECT_EQ(s.rows_scanned, 140u); });
+    check_all("SELECT k.pk FROM k WHERE k.ix = 'key1' AND % ORDER BY k.pk",
+              [](const ExecStats& s) { EXPECT_EQ(s.index_lookups, 1u); });
+    check_all("SELECT k.pk FROM k WHERE k.o >= 10 AND % AND k.o < 100 "
+              "ORDER BY k.pk",
+              [](const ExecStats& s) { EXPECT_EQ(s.range_scans, 1u); });
+    check_all("SELECT k.pk FROM p JOIN k ON k.fk = p.pk WHERE % ORDER BY k.pk",
+              [](const ExecStats& s) { EXPECT_EQ(s.hash_joins, 1u); });
+    db.table("k")->create_index("fk");
+    check_all("SELECT k.pk FROM p JOIN k ON k.fk = p.pk WHERE % ORDER BY k.pk",
+              [](const ExecStats& s) { EXPECT_EQ(s.index_lookups, 10u); });
+
+    // Known answers: NULL is unknown, numbers order before text, integers
+    // and reals compare numerically, `literal op column` reads as written.
+    auto count = [&](const std::string& where) {
+        return q("SELECT COUNT(*) FROM k WHERE " + where).scalar().as_integer();
+    };
+    EXPECT_EQ(count("k.t = NULL"), 0);
+    EXPECT_EQ(count("k.t <> NULL"), 0);
+    EXPECT_EQ(count("k.t IS NOT NULL"), 120);
+    EXPECT_EQ(count("k.t > 5"), 120);
+    EXPECT_EQ(count("5 < k.t"), 120);
+    EXPECT_EQ(count("k.i < 'a'"), count("k.i IS NOT NULL"));
+    EXPECT_EQ(count("k.i = 1.0"), count("k.i = 1"));
+    EXPECT_EQ(count("1.0 = k.i"), count("k.i = 1"));
+    EXPECT_EQ(count("k.r = 1"), count("k.r = 1.0"));
+    EXPECT_GT(count("k.r = 1"), 0);
+    EXPECT_EQ(count("k.t = '5'"), 20);
+    EXPECT_EQ(count("k.t = 5"), 0);
+    EXPECT_EQ(count("'bob' > k.t"), count("k.t < 'bob'"));
+}
+
+// A constant key on an unindexed column of a later stage filters that
+// stage's range-probe candidates instead of hashing the whole table on
+// every execution; with no other path for the stage it still hashes.
+TEST_F(SqlFixture, LiteralKeyFiltersRangeProbeInsteadOfHashing) {
+    execute(db, "CREATE TABLE iv (pk INTEGER PRIMARY KEY, lo INTEGER, "
+                "hi INTEGER)");
+    execute(db, "CREATE TABLE pt (pk INTEGER PRIMARY KEY, x INTEGER, t TEXT)");
+    execute(db, "INSERT INTO iv (lo, hi) VALUES (0, 10), (20, 30)");
+    execute(db, "INSERT INTO pt (x, t) VALUES (5, 'a'), (6, 'b'), (25, 'a'), "
+                "(40, 'a')");
+    db.table("pt")->create_index("x", rdb::IndexKind::kOrdered);
+    PlannerOptions off;
+    off.enable = false;
+
+    ExecStats ranged;
+    auto rs = execute(db,
+                      "SELECT pt.x FROM iv JOIN pt ON pt.x > iv.lo AND "
+                      "pt.x < iv.hi WHERE pt.t = 'a' ORDER BY pt.x",
+                      &ranged, {}, &off);
+    ASSERT_EQ(rs.row_count(), 2u);
+    EXPECT_EQ(rs.at(0, 0).as_integer(), 5);
+    EXPECT_EQ(rs.at(1, 0).as_integer(), 25);
+    EXPECT_EQ(ranged.hash_joins, 0u);
+    EXPECT_EQ(ranged.range_scans, 2u);
+    EXPECT_EQ(ranged.rows_scanned, 2u + 3u);  // iv rows, then range hits
+
+    ExecStats hashed;
+    rs = execute(db, "SELECT COUNT(*) FROM iv JOIN pt ON pt.t = 'a'", &hashed,
+                 {}, &off);
+    EXPECT_EQ(rs.scalar().as_integer(), 6);
+    EXPECT_EQ(hashed.hash_joins, 1u);
+    EXPECT_EQ(hashed.nested_loop_joins, 0u);
+}
+
+// Batch filtering keeps the per-candidate counters and the poll cadence: a
+// filtered full scan counts every row as scanned and polls once per
+// kCancelPollInterval of them, and a deadline fires in the middle of one.
+TEST_F(SqlFixture, FilteredScanKeepsCountersAndCancellation) {
+    constexpr std::size_t kRows = 5000;
+    execute(db, "CREATE TABLE big (pk INTEGER PRIMARY KEY, t TEXT)");
+    for (std::size_t i = 0; i < kRows; ++i)
+        db.table("big")->insert(
+            {Value::null(), Value("row-text-long-enough-to-leave-sso-" +
+                                  std::to_string(i % 7))});
+
+    ExecStats stats;
+    auto rs = q("SELECT pk FROM big WHERE t = 'no-such-value'", &stats);
+    EXPECT_EQ(rs.row_count(), 0u);
+    EXPECT_EQ(stats.rows_scanned, kRows);
+    EXPECT_EQ(stats.cancel_polls, kRows / kCancelPollInterval);
+
+    stats.reset();
+    rs = q("SELECT pk FROM big WHERE t = 'row-text-long-enough-to-leave-sso-3'",
+           &stats);
+    EXPECT_EQ(rs.row_count(), (kRows + 3) / 7);
+    EXPECT_EQ(stats.rows_scanned, kRows);
+    EXPECT_EQ(stats.cancel_polls, kRows / kCancelPollInterval);
+
+    // A filtered nested-loop scan of kRows x kRows candidates outlasts a
+    // 1 ms deadline by far; the polls inside the batch filter stop it.  No
+    // candidate survives the filter, so no later phase polls the token.
+    PlannerOptions off;
+    off.enable = false;
+    CancelToken token = CancelToken::make(
+        {Deadline::after(std::chrono::milliseconds(1)), 0, 0});
+    ExecStats cancelled;
+    EXPECT_THROW(execute(db,
+                         "SELECT COUNT(*) FROM big a JOIN big b ON 1 = 1 "
+                         "WHERE b.t = 'no-such-value'",
+                         &cancelled, token, &off),
+                 DeadlineExceeded);
+    EXPECT_EQ(cancelled.rows_scanned, 0u);  // an unwound query folds nothing
 }
 
 }  // namespace
