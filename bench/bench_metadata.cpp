@@ -121,7 +121,7 @@ void BM_IdLookup_HashIndex(benchmark::State& state) {
     const rdb::Table& ids = stack.db.require("xrel_ids");
     std::vector<rdb::Value> keys;
     for (rdb::RowId id = 0; id < ids.row_count(); ++id)
-        keys.push_back(ids.row(id)[2]);
+        keys.push_back(ids.cell(id, 2));
     std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(ids.index_lookup("idval", keys[i++ % keys.size()]));
@@ -144,7 +144,7 @@ void BM_IdLookup_OrderedIndex(benchmark::State& state) {
     const rdb::Table& ids = db.require("xrel_ids");
     std::vector<rdb::Value> keys;
     for (rdb::RowId id = 0; id < ids.row_count(); ++id)
-        keys.push_back(ids.row(id)[2]);
+        keys.push_back(ids.cell(id, 2));
     std::size_t i = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(ids.index_lookup("idval", keys[i++ % keys.size()]));

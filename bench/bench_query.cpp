@@ -16,8 +16,12 @@
 // cache disabled: the structural-index interval plans, cold (parse +
 // translate + execute) and warm (execute only), plus two unindexed
 // filtered scans, one through a full scan and one through range lookups,
-// whose warm time per row scanned is the executor's per-row cost.  Every
-// time is the median of five short batches.  The serving section
+// whose warm time per row scanned is the executor's per-row cost.  A
+// second table runs perfbench's four analytic patterns on a base shaped
+// like its serve_cold one (2 000 bulk-loaded documents of ~200 elements,
+// article.title and name.lastname indexed), so the plans timed are the
+// plans that workload serves.  Every time is the median of five short
+// batches.  The serving section
 // answers the follow-on question: what does the relational side buy
 // once queries arrive *concurrently*?
 // N client threads replay a mixed workload through query::QueryService;
@@ -32,16 +36,19 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <stdexcept>
 #include <thread>
 
 #include "bench_util.hpp"
 #include "common/table_printer.hpp"
+#include "loader/bulk_loader.hpp"
 #include "query/service.hpp"
 #include "sql/executor.hpp"
 #include "sql/parser.hpp"
 #include "sql/planner.hpp"
 #include "xquery/dom_eval.hpp"
 #include "xquery/sql_translate.hpp"
+#include "xml/serializer.hpp"
 
 namespace {
 
@@ -149,6 +156,34 @@ struct ColdRecord {
     }
 };
 
+/// Times each query of `queries` cold (translate + execute) and warm
+/// (execute the parsed SQL) on the stack's database.
+std::vector<ColdRecord> time_cold_queries(
+    bench::Stack& stack, const std::vector<std::string>& queries) {
+    xquery::SqlTranslator translator(stack.mapping, stack.schema);
+    std::vector<ColdRecord> records;
+    for (const std::string& text : queries) {
+        ColdRecord rec;
+        rec.query = text;
+        xquery::Translation t = translator.translate(xquery::parse_query(text));
+        rec.rows = sql::execute(stack.db, t.sql).row_count();
+        rec.interval_joins = t.join_count;
+        rec.interval_cold_us = time_us([&] {
+            xquery::Translation cold =
+                translator.translate(xquery::parse_query(text));
+            (void)sql::execute(stack.db, cold.sql);
+        });
+        sql::SelectStmt stmt = sql::parse_select(t.sql);
+        sql::ExecStats stats;
+        (void)sql::execute_select(stack.db, stmt, &stats);
+        rec.rows_scanned = stats.rows_scanned;
+        rec.interval_warm_us =
+            time_us([&] { (void)sql::execute_select(stack.db, stmt); });
+        records.push_back(rec);
+    }
+    return records;
+}
+
 std::vector<ColdRecord> cold_path_records(Loaded& loaded) {
     std::vector<std::string> queries = {
         "//author",
@@ -175,30 +210,52 @@ std::vector<ColdRecord> cold_path_records(Loaded& loaded) {
         queries.push_back("/article//name" + preds + "/lastname");
         break;
     }
-    xquery::SqlTranslator translator(loaded.stack.mapping,
-                                     loaded.stack.schema);
+    return time_cold_queries(loaded.stack, queries);
+}
 
-    std::vector<ColdRecord> records;
-    for (const std::string& text : queries) {
-        ColdRecord rec;
-        rec.query = text;
-        xquery::Translation t = translator.translate(xquery::parse_query(text));
-        rec.rows = sql::execute(loaded.stack.db, t.sql).row_count();
-        rec.interval_joins = t.join_count;
-        rec.interval_cold_us = time_us([&] {
-            xquery::Translation cold =
-                translator.translate(xquery::parse_query(text));
-            (void)sql::execute(loaded.stack.db, cold.sql);
-        });
-        sql::SelectStmt stmt = sql::parse_select(t.sql);
-        sql::ExecStats stats;
-        (void)sql::execute_select(loaded.stack.db, stmt, &stats);
-        rec.rows_scanned = stats.rows_scanned;
-        rec.interval_warm_us = time_us(
-            [&] { (void)sql::execute_select(loaded.stack.db, stmt); });
-        records.push_back(rec);
+/// perfbench serve_cold's base: 2 000 generated documents of ~200
+/// elements, bulk-loaded from their XML text by one job with validation
+/// on, then the article.title and name.lastname indexes.
+struct ServeColdBase {
+    bench::Stack stack{gen::paper_dtd()};
+
+    ServeColdBase() {
+        std::vector<std::string> texts;
+        for (const auto& doc : gen::bibliography_corpus(2000, 200, 1201))
+            texts.push_back(xml::serialize(*doc));
+        loader::BulkLoader bulk(stack.logical, stack.mapping, stack.schema,
+                                stack.db);
+        loader::BulkLoadOptions opts;
+        opts.jobs = 1;
+        opts.validate = true;
+        if (!bulk.load_texts(texts, opts).ok())
+            throw std::runtime_error("serve_cold base failed to load");
+        stack.db.require("article").create_index("title");
+        stack.db.require("name").create_index("lastname");
     }
-    return records;
+};
+
+/// perfbench's four analytic (whole-table scan) patterns, with values
+/// from the last name row that has both names.
+std::vector<ColdRecord> serve_cold_records(ServeColdBase& base) {
+    const rdb::Table& names = base.stack.db.require("name");
+    std::string f, l;
+    for (rdb::RowId id = names.row_count(); id-- > 0;) {
+        const rdb::Value& first = names.at(id, "firstname");
+        const rdb::Value& last = names.at(id, "lastname");
+        if (first.is_null() || last.is_null()) continue;
+        f = first.as_text();
+        l = last.as_text();
+        break;
+    }
+    const std::string preds =
+        "[firstname = '" + f + "'][lastname != '" + l + "']";
+    return time_cold_queries(
+        base.stack,
+        {"/article//name" + preds + "/lastname",
+         "count(//author[name/firstname = '" + f + "'][name/lastname != '" +
+             l + "'])",
+         "//name[ancestor::article]" + preds, "count(//name" + preds + ")"});
 }
 
 // ---------------------------------------------------------------------------
@@ -632,6 +689,7 @@ void overload_report(std::vector<OverloadRecord>& out, double& unloaded_p99) {
 
 void emit_json(const std::vector<ServeRecord>& serving,
                const std::vector<ColdRecord>& cold,
+               const std::vector<ColdRecord>& serve_cold,
                const std::vector<PlannerRecord>& planner,
                const std::vector<OverloadRecord>& overload,
                double unloaded_p99, const std::vector<MvccRecord>& mvcc) {
@@ -648,18 +706,23 @@ void emit_json(const std::vector<ServeRecord>& serving,
             << ", \"warm_us\": " << r.warm_us << "}"
             << (i + 1 < serving.size() ? "," : "") << "\n";
     }
-    out << "  ],\n  \"cold_path\": [\n";
-    for (std::size_t i = 0; i < cold.size(); ++i) {
-        const ColdRecord& r = cold[i];
-        out << "    {\"query\": \"" << r.query << "\", \"rows\": " << r.rows
-            << ", \"interval_joins\": " << r.interval_joins
-            << ", \"interval_cold_us\": " << r.interval_cold_us
-            << ", \"interval_warm_us\": " << r.interval_warm_us
-            << ", \"rows_scanned\": " << r.rows_scanned
-            << ", \"warm_ns_per_row_scanned\": "
-            << r.warm_ns_per_row_scanned() << "}"
-            << (i + 1 < cold.size() ? "," : "") << "\n";
-    }
+    auto cold_section = [&](const char* name,
+                            const std::vector<ColdRecord>& records) {
+        out << "  ],\n  \"" << name << "\": [\n";
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            const ColdRecord& r = records[i];
+            out << "    {\"query\": \"" << r.query << "\", \"rows\": "
+                << r.rows << ", \"interval_joins\": " << r.interval_joins
+                << ", \"interval_cold_us\": " << r.interval_cold_us
+                << ", \"interval_warm_us\": " << r.interval_warm_us
+                << ", \"rows_scanned\": " << r.rows_scanned
+                << ", \"warm_ns_per_row_scanned\": "
+                << r.warm_ns_per_row_scanned() << "}"
+                << (i + 1 < records.size() ? "," : "") << "\n";
+        }
+    };
+    cold_section("cold_path", cold);
+    cold_section("serve_cold_path", serve_cold);
     out << "  ],\n  \"planner\": [\n";
     for (std::size_t i = 0; i < planner.size(); ++i) {
         const PlannerRecord& r = planner[i];
@@ -706,10 +769,7 @@ void emit_json(const std::vector<ServeRecord>& serving,
 
 Loaded& corpus512();
 
-std::vector<ColdRecord> cold_path_report() {
-    std::cout << "=== §5-cold: descendant queries, caches off — interval "
-                 "plans ===\n";
-    std::vector<ColdRecord> records = cold_path_records(corpus512());
+void print_cold_records(const std::vector<ColdRecord>& records) {
     TablePrinter table({"query", "rows", "ivl joins", "ivl cold us",
                         "ivl warm us", "scanned", "warm ns/row"});
     for (const ColdRecord& r : records)
@@ -720,6 +780,22 @@ std::vector<ColdRecord> cold_path_report() {
                        std::to_string(r.rows_scanned),
                        format_double(r.warm_ns_per_row_scanned(), 1)});
     std::cout << table.to_string() << "\n";
+}
+
+std::vector<ColdRecord> cold_path_report() {
+    std::cout << "=== §5-cold: descendant queries, caches off — interval "
+                 "plans ===\n";
+    std::vector<ColdRecord> records = cold_path_records(corpus512());
+    print_cold_records(records);
+    return records;
+}
+
+std::vector<ColdRecord> serve_cold_report() {
+    std::cout << "=== §5-cold: perfbench serve_cold's analytic patterns on a "
+                 "bulk-loaded 2000-document base ===\n";
+    ServeColdBase base;
+    std::vector<ColdRecord> records = serve_cold_records(base);
+    print_cold_records(records);
     return records;
 }
 
@@ -741,6 +817,7 @@ std::vector<PlannerRecord> planner_report() {
 }
 
 void serving_report(const std::vector<ColdRecord>& cold,
+                    const std::vector<ColdRecord>& serve_cold,
                     const std::vector<PlannerRecord>& planner,
                     const std::vector<OverloadRecord>& overload,
                     double unloaded_p99,
@@ -768,9 +845,11 @@ void serving_report(const std::vector<ColdRecord>& cold,
         records.push_back(rec);
     }
     std::cout << table.to_string();
-    emit_json(records, cold, planner, overload, unloaded_p99, mvcc);
+    emit_json(records, cold, serve_cold, planner, overload, unloaded_p99,
+              mvcc);
     std::cout << "wrote BENCH_query.json (" << records.size() << " serving + "
-              << cold.size() << " cold-path + " << planner.size()
+              << cold.size() + serve_cold.size() << " cold-path + "
+              << planner.size()
               << " planner + " << overload.size() << " overload + "
               << mvcc.size() << " mvcc records)\n\n";
 }
@@ -816,12 +895,13 @@ BENCHMARK(BM_SqlTranslate);
 int main(int argc, char** argv) {
     print_report();
     std::vector<ColdRecord> cold = cold_path_report();
+    std::vector<ColdRecord> serve_cold = serve_cold_report();
     std::vector<PlannerRecord> planner = planner_report();
     std::vector<OverloadRecord> overload;
     double unloaded_p99 = 0;
     overload_report(overload, unloaded_p99);
     std::vector<MvccRecord> mvcc = mvcc_report();
-    serving_report(cold, planner, overload, unloaded_p99, mvcc);
+    serving_report(cold, serve_cold, planner, overload, unloaded_p99, mvcc);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
     return 0;

@@ -32,9 +32,12 @@
 # (double math over row counts, bitmask subset walks), the structural
 # interval label arithmetic, the query fuzzer, the integrity checker
 # (which sums attacker-controlled label spans), the MiniRDB unit
-# tests (B+tree split/rank index arithmetic) and the SQL unit tests (the
-# executor's signed integer arithmetic, the batch filter's compaction) — the code where a silent
-# overflow would skew a plan or an index rather than crash.
+# tests (B+tree split/rank index arithmetic, the column-major chunks'
+# cell index arithmetic), the SQL unit tests (the executor's signed
+# integer arithmetic, the batch filter's compaction), and the durability
+# and bulk-load tests, whose recovery and Table::insert_batch write every
+# row through that chunk arithmetic — the code where a silent overflow
+# would skew a plan, an index or a cell address rather than crash.
 #
 # Both ASan and TSan lanes also carry the planner label: statistics are
 # folded on the commit path and read by concurrent planning threads.
@@ -61,7 +64,7 @@ case "$LANE" in
     ;;
   undefined)
     BUILD_DIR=${2:-build-ubsan}
-    LABELS='planner|index|query|integrity|mvcc|rdb|sql'
+    LABELS='planner|index|query|integrity|mvcc|rdb|sql|durability|bulk'
     ;;
   *)
     echo "usage: $0 [address|thread|undefined] [build-dir]" >&2

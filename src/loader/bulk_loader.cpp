@@ -131,7 +131,7 @@ std::int64_t BulkLoader::next_doc_base() const {
         int c = docs->def().column_index("doc");
         if (c >= 0) {
             for (rdb::RowId id = 0; id < docs->row_count(); ++id) {
-                const auto& row = docs->row(id);
+                auto row = docs->row(id);
                 if (!row[c].is_null())
                     base = std::max(base, row[c].as_integer() + 1);
             }
@@ -149,7 +149,7 @@ std::int64_t BulkLoader::next_label_base() const {
         int s = docs->def().column_index("label_span");
         if (b >= 0 && s >= 0) {
             for (rdb::RowId id = 0; id < docs->row_count(); ++id) {
-                const auto& row = docs->row(id);
+                auto row = docs->row(id);
                 if (!row[b].is_null() && !row[s].is_null())
                     base = std::max(base,
                                     row[b].as_integer() + row[s].as_integer());

@@ -129,7 +129,7 @@ void Loader::build_plans() {
         int b = docs->def().column_index("label_base");
         int s = docs->def().column_index("label_span");
         for (rdb::RowId id = 0; id < docs->row_count(); ++id) {
-            const auto& row = docs->row(id);
+            auto row = docs->row(id);
             if (c >= 0 && !row[c].is_null())
                 next_doc_ = std::max(next_doc_, row[c].as_integer() + 1);
             if (b >= 0 && s >= 0 && !row[b].is_null() && !row[s].is_null())
@@ -870,7 +870,7 @@ void Loader::resolve_references_in(RefPlan& ref, LoadStats& stats) {
     int reg_pk = col(rt, "entity_pk");
 
     for (rdb::RowId id = 0; id < ref.storage->row_count(); ++id) {
-        const rdb::Row& row = ref.storage->row(id);
+        rdb::RowView row = ref.storage->row(id);
         if (!row[ref.target_pk_col].is_null()) continue;
         fault::maybe_fail("loader.resolve");
 
@@ -878,7 +878,7 @@ void Loader::resolve_references_in(RefPlan& ref, LoadStats& stats) {
         std::vector<rdb::RowId> hits = id_registry_->lookup("idval", idref);
         bool resolved = false;
         for (rdb::RowId hit : hits) {
-            const rdb::Row& reg = id_registry_->row(hit);
+            rdb::RowView reg = id_registry_->row(hit);
             // IDs are unique per document, so match the document too.
             if (ref.doc_col >= 0 && reg_doc >= 0 &&
                 !(reg[reg_doc] == row[ref.doc_col]))

@@ -45,7 +45,7 @@ std::unique_ptr<xml::Document> Reconstructor::reconstruct(
             "cannot reconstruct: xrel_docs metadata table is missing");
     int doc_col = docs->def().column_index("doc");
     for (RowId id = 0; id < docs->row_count(); ++id) {
-        const rdb::Row& row = docs->row(id);
+        rdb::RowView row = docs->row(id);
         if (row[doc_col].as_integer() != doc) continue;
         std::string root_entity = docs->at(id, "root_entity").as_text();
         std::int64_t root_pk = docs->at(id, "root_pk").as_integer();
@@ -78,7 +78,7 @@ void Reconstructor::fill_element(xml::Element& element,
     if (!rowid)
         throw SchemaError("no row " + std::to_string(pk) + " in '" +
                           schema->name + "'");
-    const rdb::Row& row = table.row(*rowid);
+    rdb::RowView row = table.row(*rowid);
 
     // Which column sources are distilled children rather than attributes?
     std::map<std::string, const mapping::DistilledAttribute*> distilled;
@@ -153,7 +153,7 @@ void Reconstructor::fill_element(xml::Element& element,
                 int seg_ord = segments->def().column_index("ord");
                 int seg_content = segments->def().column_index("content");
                 for (RowId id : segments->lookup("parent_pk", Value(pk))) {
-                    const rdb::Row& seg = segments->row(id);
+                    rdb::RowView seg = segments->row(id);
                     if (!(seg[seg_entity] == Value(entity))) continue;
                     std::string content = seg[seg_content].as_text();
                     std::int64_t ord =
@@ -190,7 +190,7 @@ void Reconstructor::fill_element(xml::Element& element,
                 int oord = overflow->def().column_index("ord");
                 int raw = overflow->def().column_index("raw_xml");
                 for (RowId id : overflow->lookup("parent_pk", Value(pk))) {
-                    const rdb::Row& orow = overflow->row(id);
+                    rdb::RowView orow = overflow->row(id);
                     if (!(orow[ent] == Value(entity))) continue;
                     std::string fragment_text = orow[raw].as_text();
                     std::int64_t ord = oord >= 0 && !orow[oord].is_null()
@@ -290,7 +290,7 @@ void Reconstructor::fill_element(xml::Element& element,
         int ent = overflow->def().column_index("parent_entity");
         int raw = overflow->def().column_index("raw_xml");
         for (RowId id : rows_by(*overflow, "parent_pk", pk)) {
-            const rdb::Row& orow = overflow->row(id);
+            rdb::RowView orow = overflow->row(id);
             if (!(orow[ent] == Value(entity))) continue;
             xml::ParseOptions popt;
             popt.keep_whitespace_text = true;
@@ -310,7 +310,7 @@ void Reconstructor::emit_group_instance(
     const rdb::Table& groups = db_.require(gt->name);
     auto rowid = groups.find_pk_rowid(group_pk);
     if (!rowid) return;
-    const rdb::Row& row = groups.row(*rowid);
+    rdb::RowView row = groups.row(*rowid);
 
     // Distilled attributes of the virtual group element, by model position.
     const std::string virtual_name = decl.name.substr(1);

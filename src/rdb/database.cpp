@@ -707,9 +707,9 @@ std::vector<std::string> Database::check_foreign_keys() const {
             continue;
         }
         for (RowId id = 0; id < src->row_count(); ++id) {
-            const Value& v = src->row(id)[col];
+            const Value& v = src->cell(id, col);
             if (v.is_null()) continue;
-            if (dst->find_pk(v.as_integer()) == nullptr) {
+            if (!dst->find_pk_rowid(v.as_integer())) {
                 violations.push_back(fk.table + "." + fk.column + "=" +
                                      v.to_string() + " has no match in " +
                                      fk.ref_table);
@@ -821,7 +821,7 @@ void Database::load_stats_catalog() {
         // Stage per-table statistics from the catalog rows.
         std::map<std::string, TableStats> staged;
         for (RowId id = 0; id < cat->row_count(); ++id) {
-            const Row& row = cat->row(id);
+            RowView row = cat->row(id);
             Table* target = table(row[0].as_text());
             if (target == nullptr) continue;  // dropped since the analyze
             int c = target->def().column_index(row[1].as_text());

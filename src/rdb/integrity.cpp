@@ -76,12 +76,13 @@ void check_foreign_keys_into(const ReadView& db, IntegrityReport& report) {
         }
         int doc_col = typed_column(src->def(), "doc", ValueType::kInteger);
         for (RowId id = 0; id < src->row_count(); ++id) {
-            const Value& v = src->row(id)[static_cast<std::size_t>(col)];
+            const Value& v = src->cell(id, static_cast<std::size_t>(col));
             if (v.type() != ValueType::kInteger) continue;  // typed elsewhere
-            if (dst->find_pk(v.as_integer()) != nullptr) continue;
+            if (dst->find_pk_rowid(v.as_integer())) continue;
             std::int64_t doc = -1;
             if (doc_col >= 0) {
-                const Value& d = src->row(id)[static_cast<std::size_t>(doc_col)];
+                const Value& d =
+                    src->cell(id, static_cast<std::size_t>(doc_col));
                 if (d.type() == ValueType::kInteger) doc = d.as_integer();
             }
             report.add({Severity::kError, "foreign-key", fk.table, doc,
@@ -112,7 +113,7 @@ void check_document_invariants(const ReadView& db, IntegrityReport& report) {
     // Registered documents, rejecting malformed and duplicate rows.
     std::map<std::int64_t, DocEntry> registry;
     for (RowId id = 0; id < docs->row_count(); ++id) {
-        const Row& row = docs->row(id);
+        RowView row = docs->row(id);
         const Value& dv = row[static_cast<std::size_t>(c_doc)];
         if (dv.type() != ValueType::kInteger) {
             report.add({Severity::kError, "doc-registry", kDocsTable, -1,
@@ -161,7 +162,7 @@ void check_document_invariants(const ReadView& db, IntegrityReport& report) {
         int pre = typed_column(t->def(), "pre", ValueType::kInteger);
         int post = typed_column(t->def(), "post", ValueType::kInteger);
         for (RowId id = 0; id < t->row_count(); ++id) {
-            const Row& row = t->row(id);
+            RowView row = t->row(id);
             const Value& dv = row[static_cast<std::size_t>(dc)];
             if (dv.is_null()) {
                 report.add({Severity::kError, "doc-null", name, -1,
@@ -322,7 +323,7 @@ void check_document_invariants(const ReadView& db, IntegrityReport& report) {
         }
         int dc = typed_column(root->def(), "doc", ValueType::kInteger);
         if (dc < 0) continue;
-        const Value& dv = root->row(*id)[static_cast<std::size_t>(dc)];
+        const Value& dv = root->cell(*id, static_cast<std::size_t>(dc));
         if (dv.type() != ValueType::kInteger || dv.as_integer() != doc)
             report.add({Severity::kError, "doc-root", root->name(), doc,
                         "registered root row pk=" +
@@ -343,7 +344,7 @@ void check_quarantine(const ReadView& db, IntegrityReport& report) {
         return;
     }
     for (RowId id = 0; id < q->row_count(); ++id) {
-        const Row& row = q->row(id);
+        RowView row = q->row(id);
         const Value& idx = row[static_cast<std::size_t>(c_idx)];
         const Value& type = row[static_cast<std::size_t>(c_type)];
         if (idx.type() != ValueType::kInteger || idx.as_integer() < 0 ||
@@ -370,7 +371,7 @@ void check_stats_catalog(const ReadView& db, IntegrityReport& report) {
     // analyze), so coverage gaps only warn.
     std::set<std::string> missing;
     for (RowId id = 0; id < cat->row_count(); ++id) {
-        const Row& row = cat->row(id);
+        RowView row = cat->row(id);
         const Value& tv = row[static_cast<std::size_t>(c_tbl)];
         const Value& cv = row[static_cast<std::size_t>(c_col)];
         if (tv.type() != ValueType::kText || cv.type() != ValueType::kText)
@@ -479,7 +480,7 @@ void quarantine_doc(Database& db, std::int64_t doc, const std::string& why) {
     if (c_idx < 0 || c_type < 0) return;
     // One salvage record per document, even across repeated opens.
     for (RowId id = 0; id < q->row_count(); ++id) {
-        const Row& row = q->row(id);
+        RowView row = q->row(id);
         const Value& idx = row[static_cast<std::size_t>(c_idx)];
         const Value& type = row[static_cast<std::size_t>(c_type)];
         if (idx.type() == ValueType::kInteger && idx.as_integer() == doc &&
@@ -523,7 +524,7 @@ std::size_t salvage_repair(Database& db, SalvageReport& sr) {
         if (dc < 0) continue;
         bool any_null = false;
         for (RowId id = 0; !any_null && id < t->row_count(); ++id)
-            any_null = t->row(id)[static_cast<std::size_t>(dc)].is_null();
+            any_null = t->cell(id, static_cast<std::size_t>(dc)).is_null();
         if (!any_null) continue;
         std::size_t n = t->delete_where("doc", Value::null());
         sr.rows_purged += n;

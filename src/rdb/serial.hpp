@@ -221,18 +221,21 @@ inline TableDef read_table_def(Reader& in) {
     return def;
 }
 
-inline void put_row(std::string& out, const Row& row) {
+/// A row's bytes: its cell count, then each cell.  `Cells` is a Row or
+/// a stored RowView; both encode identically.
+template <class Cells>
+void put_row(std::string& out, const Cells& row) {
     put_u32(out, static_cast<std::uint32_t>(row.size()));
     for (const Value& v : row) put_value(out, v);
 }
 
-inline Row read_row(Reader& in) {
+/// Decode one row (put_row's bytes) straight into a new row of `table`,
+/// checked as Table::insert checks a Row.
+inline std::int64_t insert_row(Reader& in, Table& table) {
     std::uint32_t cells = in.u32();
     in.need_items(cells, 1, "cell");  // a null cell is one tag byte
-    Row row;
-    row.reserve(cells);
-    for (std::uint32_t i = 0; i < cells; ++i) row.push_back(in.value());
-    return row;
+    validate_arity(table.def(), cells);
+    return table.insert_decoded([&](std::size_t) { return in.value(); });
 }
 
 }  // namespace xr::rdb::serial

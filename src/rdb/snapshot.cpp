@@ -294,13 +294,12 @@ public:
         const std::string name = h.def.name;
         Table& t = db_.create_table(std::move(h.def));
         try {
-            std::vector<Row> rows;
-            rows.reserve(h.rows);
+            // Cells decode straight into the table's columns, each row
+            // fully checked: a snapshot is not a trusted pipeline, it is
+            // bytes from a disk.
+            t.reserve_rows(h.rows);
             for (std::uint64_t i = 0; i < h.rows; ++i)
-                rows.push_back(serial::read_row(in));
-            // Full per-row validation: a snapshot is not a trusted
-            // pipeline, it is bytes from a disk.
-            t.insert_batch(std::move(rows), /*validate_rows=*/true);
+                serial::insert_row(in, t);
             t.restore_next_pk(h.next_pk);
             for (const Table::IndexDef& idx : h.indexes)
                 t.create_index(idx.column, idx.kind);

@@ -23,10 +23,13 @@ const ColumnDef* TableDef::column(std::string_view name) const {
 
 void RowStore::own(std::size_t c) {
     Slot& s = slots_[c];
-    auto copy = std::make_shared<Chunk>();
+    std::shared_ptr<Value[]> copy = new_chunk();
     std::size_t live = std::min(kChunkRows, size_ - (c << kChunkShift));
-    std::copy_n(s.chunk->rows.begin(), live, copy->rows.begin());
-    s.chunk = std::move(copy);
+    for (std::size_t col = 0; col < columns_; ++col) {
+        std::size_t base = col << kChunkShift;
+        std::copy_n(&s.cells[base], live, &copy[base]);
+    }
+    s.cells = std::move(copy);
     s.owned = true;
     ++chunks_cowed_;
 }
@@ -36,7 +39,7 @@ void RowStore::truncate(std::size_t n) {
     std::size_t chunks = (n + kChunkRows - 1) >> kChunkShift;
     slots_.resize(chunks);
     if (chunks > 0) {
-        // Clear the cut rows of the tail chunk.  A published version may
+        // Clear the cut cells of the tail chunk.  A published version may
         // still read them only when the cut goes below the last publish;
         // then the tail chunk is cloned first.
         std::size_t base = (chunks - 1) << kChunkShift;
@@ -44,7 +47,9 @@ void RowStore::truncate(std::size_t n) {
         if (n - base < end) {
             Slot& s = slots_.back();
             if (!s.owned && n < shared_) own(chunks - 1);
-            for (std::size_t r = n - base; r < end; ++r) s.chunk->rows[r] = Row();
+            for (std::size_t col = 0; col < columns_; ++col)
+                std::fill(&s.cells[(col << kChunkShift) + (n - base)],
+                          &s.cells[(col << kChunkShift) + end], Value());
         }
     }
     size_ = n;
@@ -52,11 +57,11 @@ void RowStore::truncate(std::size_t n) {
 }
 
 RowStore RowStore::publish() {
-    RowStore out;
+    RowStore out(columns_);
     out.slots_.reserve(slots_.size());
     for (Slot& s : slots_) {
         s.owned = false;
-        out.slots_.push_back(Slot{s.chunk, false});
+        out.slots_.push_back(Slot{s.cells, false});
     }
     out.size_ = size_;
     out.shared_ = size_;
@@ -102,16 +107,18 @@ void throw_cell_mismatch(const TableDef& def, std::size_t column,
 // -- Table -------------------------------------------------------------------
 
 Table::Table(TableDef def)
-    : def_(std::move(def)), pk_column_(primary_key_column(def_)) {}
+    : def_(std::move(def)),
+      pk_column_(primary_key_column(def_)),
+      store_(def_.columns.size()) {}
 
-Table::Table(FrozenTag, Table& live) : def_(live.def_) {
+Table::Table(FrozenTag, Table& live)
+    : def_(live.def_), store_(live.store_.publish()) {
     pk_column_ = live.pk_column_;
     next_pk_.store(live.next_pk_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
     bulk_ = live.bulk_;
     frozen_ = true;
     dirty_ = false;
-    store_ = live.store_.publish();
     pk_index_ = live.pk_index_.publish();
     indexes_.reserve(live.indexes_.size());
     for (SecondaryIndex& idx : live.indexes_)
@@ -132,47 +139,53 @@ std::uint64_t Table::indexes_cowed() const {
     return n;
 }
 
-void Table::validate(const Row& row) const {
-    validate_arity(def_, row.size());
-    for (std::size_t i = 0; i < row.size(); ++i)
-        validate_cell(def_, pk_column_, i, row[i].type());
-}
-
 std::int64_t Table::insert(Row row) { return do_insert(std::move(row), true); }
 
 std::size_t Table::insert_batch(std::vector<Row> rows, bool validate_rows) {
-    if (rows.empty()) return 0;
-    // Batch shape is validated once up front; callers that assembled the
-    // rows from a trusted loading plan skip the per-row cell checks.
-    validate(rows.front());
     reserve_rows(rows.size());
-    for (auto& row : rows) do_insert(std::move(row), validate_rows);
+    // The batch's shape is checked once, on its first row; callers that
+    // assembled the rows from a trusted loading plan skip the per-row
+    // cell checks after it.
+    for (std::size_t i = 0; i < rows.size(); ++i)
+        do_insert(std::move(rows[i]), validate_rows || i == 0);
     return rows.size();
 }
 
 std::int64_t Table::do_insert(Row&& row, bool validate_row) {
-    if (pk_column_ >= 0 && row.size() == def_.columns.size() &&
-        row[pk_column_].is_null()) {
-        row[pk_column_] = Value(next_pk_.load(std::memory_order_relaxed));
-    }
-    if (validate_row) {
-        validate(row);
-    } else {
-        validate_arity(def_, row.size());
-    }
+    validate_arity(def_, row.size());
+    Value* first = store_.append();
+    for (std::size_t c = 0; c < row.size(); ++c)
+        first[c << kChunkShift] = std::move(row[c]);
+    return admit_appended(validate_row);
+}
 
-    std::int64_t pk = static_cast<std::int64_t>(store_.size());
-    auto id = static_cast<RowId>(store_.size());
-    if (pk_column_ >= 0) {
-        pk = row[pk_column_].as_integer();
-        if (pk_index_.find(pk))
-            throw SchemaError("duplicate primary key " + std::to_string(pk) +
-                              " in '" + def_.name + "'");
-        pk_index_.insert(pk, id);
-        bump_next_pk(pk);
+std::int64_t Table::admit_appended(bool validate_row) {
+    const auto id = static_cast<RowId>(store_.size() - 1);
+    std::int64_t pk = id;
+    try {
+        if (pk_column_ >= 0) {
+            // Unpublished, so mut() copies nothing.
+            Value& key = store_.mut(id, pk_column_);
+            if (key.is_null())
+                key = Value(next_pk_.load(std::memory_order_relaxed));
+        }
+        if (validate_row)
+            for (std::size_t c = 0; c < def_.columns.size(); ++c)
+                validate_cell(def_, pk_column_, c, store_.cell(id, c).type());
+        if (pk_column_ >= 0) {
+            pk = store_.cell(id, pk_column_).as_integer();
+            if (pk_index_.find(pk))
+                throw SchemaError("duplicate primary key " +
+                                  std::to_string(pk) + " in '" + def_.name +
+                                  "'");
+            pk_index_.insert(pk, id);
+            bump_next_pk(pk);
+        }
+    } catch (...) {
+        store_.truncate(id);
+        throw;
     }
     dirty_ = true;
-    store_.push_back(std::move(row));
     if (!bulk_) index_row(id);
     if (log_ != nullptr) log_->log_insert(*this, store_[id]);
     return pk;
@@ -223,7 +236,7 @@ void Table::rollback_unit() {
     // Undo cell updates newest-first.
     for (std::size_t i = undo_.size(); i-- > frame.undo_size;) {
         UndoCell& cell = undo_[i];
-        Value& cur = store_.mut(cell.row)[cell.column];
+        Value& cur = store_.mut(cell.row, cell.column);
         if (!was_bulk) {
             for (SecondaryIndex& idx : indexes_) {
                 if (idx.column != cell.column) continue;
@@ -238,12 +251,13 @@ void Table::rollback_unit() {
     // Truncate appended rows and their index entries.  None of them was
     // published (publication happens between outermost units only).
     for (std::size_t id = store_.size(); id-- > frame.rows;) {
-        const Row& row = store_[id];
         if (pk_column_ >= 0)
-            pk_index_.erase(row[pk_column_].as_integer(), static_cast<RowId>(id));
+            pk_index_.erase(store_.cell(id, pk_column_).as_integer(),
+                            static_cast<RowId>(id));
         if (!was_bulk)
             for (SecondaryIndex& idx : indexes_)
-                idx.tree.erase(row[idx.column], static_cast<RowId>(id));
+                idx.tree.erase(store_.cell(id, idx.column),
+                               static_cast<RowId>(id));
     }
     store_.truncate(frame.rows);
 
@@ -265,7 +279,7 @@ void Table::build_index(SecondaryIndex& idx) {
     std::vector<ValueIndex::Entry> entries;
     entries.reserve(store_.size());
     for (RowId id = 0; id < store_.size(); ++id)
-        entries.push_back({store_[id][idx.column], id});
+        entries.push_back({store_.cell(id, idx.column), id});
     idx.tree.build(std::move(entries));
 }
 
@@ -279,12 +293,7 @@ const Value& Table::at(RowId id, std::string_view column) const {
     if (i < 0)
         throw SchemaError("no column '" + std::string(column) + "' in '" +
                           def_.name + "'");
-    return store_[id][i];
-}
-
-const Row* Table::find_pk(std::int64_t pk) const {
-    auto id = find_pk_rowid(pk);
-    return id ? &store_[*id] : nullptr;
+    return store_.cell(id, i);
 }
 
 std::optional<RowId> Table::find_pk_rowid(std::int64_t pk) const {
@@ -303,15 +312,16 @@ void Table::update(RowId id, std::string_view column, Value value) {
                           def_.name + "'");
     if (i == pk_column_)
         throw SchemaError("cannot update primary key column");
-    if (!units_.empty()) undo_.push_back({id, i, store_[id][i]});
+    if (!units_.empty()) undo_.push_back({id, i, store_.cell(id, i)});
     dirty_ = true;
     for (SecondaryIndex& idx : indexes_) {
         if (idx.column != i) continue;
-        idx.tree.erase(store_[id][i], id);
+        idx.tree.erase(store_.cell(id, i), id);
         idx.tree.insert(value, id);
     }
-    store_.mut(id)[i] = std::move(value);
-    if (log_ != nullptr) log_->log_update(*this, id, i, store_[id][i]);
+    Value& cell = store_.mut(id, i);
+    cell = std::move(value);
+    if (log_ != nullptr) log_->log_update(*this, id, i, cell);
 }
 
 std::size_t Table::delete_where(std::string_view column, const Value& value) {
@@ -322,12 +332,17 @@ std::size_t Table::delete_where(std::string_view column, const Value& value) {
     if (i < 0)
         throw SchemaError("no column '" + std::string(column) + "' in '" +
                           def_.name + "'");
-    RowStore kept;
+    RowStore kept(store_.columns());
     kept.reserve(store_.size());
     std::size_t removed = 0;
     for (std::size_t id = 0; id < store_.size(); ++id) {
-        if (store_[id][i] == value) ++removed;
-        else kept.push_back(Row(store_[id]));
+        if (store_.cell(id, i) == value) {
+            ++removed;
+            continue;
+        }
+        Value* first = kept.append();
+        for (std::size_t c = 0; c < kept.columns(); ++c)
+            first[c << kChunkShift] = store_.cell(id, c);
     }
     if (removed == 0) return 0;
     store_ = std::move(kept);
@@ -338,7 +353,7 @@ std::size_t Table::delete_where(std::string_view column, const Value& value) {
         std::vector<KeyIndex::Entry> entries;
         entries.reserve(store_.size());
         for (RowId id = 0; id < store_.size(); ++id)
-            entries.push_back({store_[id][pk_column_].as_integer(), id});
+            entries.push_back({store_.cell(id, pk_column_).as_integer(), id});
         pk_index_.build(std::move(entries));
     }
     rebuild_indexes();
@@ -355,9 +370,9 @@ void Table::refresh_stats() {
     if (stats_.columns.size() != def_.columns.size())
         stats_.columns.assign(def_.columns.size(), ColumnStats());
     if (stats_.rows < store_.size()) dirty_ = true;
-    for (std::size_t r = stats_.rows; r < store_.size(); ++r)
-        for (std::size_t c = 0; c < stats_.columns.size(); ++c)
-            stats_.columns[c].fold(store_[r][c]);
+    for (std::size_t c = 0; c < stats_.columns.size(); ++c)
+        for (std::size_t r = stats_.rows; r < store_.size(); ++r)
+            stats_.columns[c].fold(store_.cell(r, c));
     stats_.rows = store_.size();
 }
 
@@ -478,22 +493,22 @@ std::vector<RowId> Table::lookup(std::string_view column,
                           def_.name + "'");
     std::vector<RowId> out;
     for (RowId id = 0; id < store_.size(); ++id) {
-        if (store_[id][i] == value) out.push_back(id);
+        if (store_.cell(id, i) == value) out.push_back(id);
     }
     return out;
 }
 
 void Table::index_row(RowId id) {
     for (SecondaryIndex& idx : indexes_)
-        idx.tree.insert(store_[id][idx.column], id);
+        idx.tree.insert(store_.cell(id, idx.column), id);
 }
 
 void Table::verify_into(IntegrityReport& report) const {
     ++report.tables_checked;
     const int doc_col = def_.column_index("doc");
-    auto doc_of = [&](const Row& row) -> std::int64_t {
-        if (doc_col < 0 || doc_col >= static_cast<int>(row.size())) return -1;
-        const Value& v = row[doc_col];
+    auto doc_of = [&](RowId id) -> std::int64_t {
+        if (doc_col < 0) return -1;
+        const Value& v = store_.cell(id, doc_col);
         return v.type() == ValueType::kInteger ? v.as_integer() : -1;
     };
     auto issue = [&](const char* check, std::int64_t doc, std::string detail,
@@ -504,23 +519,17 @@ void Table::verify_into(IntegrityReport& report) const {
 
     // Rows against the schema (the same rules validate() enforces on the
     // way in — a stored row that no longer passes them was corrupted).
+    // Every stored row has one cell per column by construction.
     std::int64_t max_pk = std::numeric_limits<std::int64_t>::min();
     for (RowId id = 0; id < store_.size(); ++id) {
-        const Row& row = store_[id];
+        RowView row = store_[id];
         ++report.rows_checked;
-        if (row.size() != def_.columns.size()) {
-            issue("row-arity", doc_of(row),
-                  "row " + std::to_string(id) + " has " +
-                      std::to_string(row.size()) + " cells, schema has " +
-                      std::to_string(def_.columns.size()));
-            continue;
-        }
         for (std::size_t c = 0; c < row.size(); ++c) {
             const ColumnDef& col = def_.columns[c];
             const Value& v = row[c];
             if (v.is_null()) {
                 if (col.not_null && static_cast<int>(c) != pk_column_)
-                    issue("not-null", doc_of(row),
+                    issue("not-null", doc_of(id),
                           "row " + std::to_string(id) +
                               ": NULL in NOT NULL column '" + col.name + "'");
                 continue;
@@ -536,7 +545,7 @@ void Table::verify_into(IntegrityReport& report) const {
                 case ValueType::kNull: ok = false; break;
             }
             if (!ok)
-                issue("cell-type", doc_of(row),
+                issue("cell-type", doc_of(id),
                       "row " + std::to_string(id) + " column '" + col.name +
                           "': expected " + std::string(to_string(col.type)) +
                           ", got " + std::string(to_string(v.type())));
@@ -553,14 +562,11 @@ void Table::verify_into(IntegrityReport& report) const {
                   "pk index has " + std::to_string(pk_index_.size()) +
                       " entries for " + std::to_string(store_.size()) + " rows");
         for (RowId id = 0; id < store_.size(); ++id) {
-            const Row& row = store_[id];
-            if (row.size() != def_.columns.size() ||
-                row[pk_column_].type() != ValueType::kInteger)
-                continue;  // already reported above
-            if (pk_index_.find(row[pk_column_].as_integer()) != id)
-                issue("pk-index", doc_of(row),
-                      "row " + std::to_string(id) + " pk " +
-                          row[pk_column_].to_string() +
+            const Value& pk = store_.cell(id, pk_column_);
+            if (pk.type() != ValueType::kInteger) continue;  // reported above
+            if (pk_index_.find(pk.as_integer()) != id)
+                issue("pk-index", doc_of(id),
+                      "row " + std::to_string(id) + " pk " + pk.to_string() +
                           " missing or mismapped in pk index");
         }
         std::int64_t next = next_pk_.load(std::memory_order_relaxed);
@@ -598,13 +604,12 @@ void Table::verify_into(IntegrityReport& report) const {
                           " to out-of-range row " + std::to_string(id));
                 return;
             }
-            const Row& row = store_[id];
-            if (static_cast<std::size_t>(idx.column) < row.size() &&
-                !(row[idx.column] == key))
-                issue("index-entry", doc_of(row),
+            const Value& cell = store_.cell(id, idx.column);
+            if (!(cell == key))
+                issue("index-entry", doc_of(id),
                       "index on '" + col + "' maps key " + key.to_string() +
                           " to row " + std::to_string(id) +
-                          " whose cell is " + row[idx.column].to_string());
+                          " whose cell is " + cell.to_string());
         };
         const Value* prev = nullptr;
         idx.tree.for_each([&](const ValueIndex::Entry& e) {
@@ -620,14 +625,12 @@ void Table::verify_into(IntegrityReport& report) const {
 }
 
 std::size_t Table::memory_bytes() const {
-    std::size_t bytes = sizeof(Table);
-    for (std::size_t id = 0; id < store_.size(); ++id) {
-        const Row& row = store_[id];
-        bytes += sizeof(Row) + row.capacity() * sizeof(Value);
-        for (const auto& v : row) {
-            if (v.type() == ValueType::kText) bytes += v.as_text().capacity();
-        }
-    }
+    std::size_t bytes =
+        sizeof(Table) + store_.size() * store_.columns() * sizeof(Value);
+    for (std::size_t c = 0; c < store_.columns(); ++c)
+        for (std::size_t id = 0; id < store_.size(); ++id)
+            if (const std::string* text = store_.cell(id, c).text_if())
+                bytes += text->capacity();
     bytes += pk_index_.size() * sizeof(KeyIndex::Entry);
     for (const SecondaryIndex& idx : indexes_)
         bytes += idx.tree.size() * sizeof(ValueIndex::Entry);
@@ -636,13 +639,11 @@ std::size_t Table::memory_bytes() const {
 
 double Table::null_fraction() const {
     std::size_t cells = 0, nulls = 0;
-    for (std::size_t id = 0; id < store_.size(); ++id) {
-        const Row& row = store_[id];
-        for (std::size_t i = 0; i < row.size(); ++i) {
-            if (static_cast<int>(i) == pk_column_) continue;
-            ++cells;
-            if (row[i].is_null()) ++nulls;
-        }
+    for (std::size_t c = 0; c < store_.columns(); ++c) {
+        if (static_cast<int>(c) == pk_column_) continue;
+        cells += store_.size();
+        for (std::size_t id = 0; id < store_.size(); ++id)
+            nulls += store_.cell(id, c).is_null();
     }
     return cells == 0 ? 0.0 : static_cast<double>(nulls) / static_cast<double>(cells);
 }

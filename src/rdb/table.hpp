@@ -1,6 +1,6 @@
 // MiniRDB tables: row storage, constraints, and indexes.
 //
-// Row-oriented storage in copy-on-write chunks (DESIGN.md §15).  Each
+// Column-major storage in copy-on-write chunks (DESIGN.md §15).  Each
 // table may declare one auto-increment INTEGER primary key; inserts
 // validate types, NOT NULL and primary-key uniqueness.  Secondary
 // indexes are declared hash (equality lookups, used for ID resolution
@@ -15,11 +15,14 @@
 // mutation and never take a latch.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <array>
 #include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -46,7 +49,67 @@ struct TableDef {
     [[nodiscard]] const ColumnDef* column(std::string_view name) const;
 };
 
+/// An owned row: what inserts take, the WAL logs and results return.
 using Row = std::vector<Value>;
+
+/// Rows per RowStore chunk, as a shift.
+inline constexpr std::size_t kChunkShift = 10;
+inline constexpr std::size_t kChunkRows = std::size_t{1} << kChunkShift;
+inline constexpr std::size_t kChunkMask = kChunkRows - 1;
+
+/// A stored row, borrowed from its column-major chunk: cell `c` sits
+/// `c * kChunkRows` Values past cell 0.  Valid while the table version
+/// it came from is alive and the writer has not changed the row;
+/// to_row() makes an owned copy.
+class RowView {
+public:
+    /// Strided walk over the row's cells.
+    class iterator {
+    public:
+        using iterator_category = std::forward_iterator_tag;
+        using value_type = Value;
+        using difference_type = std::ptrdiff_t;
+        using pointer = const Value*;
+        using reference = const Value&;
+
+        iterator() = default;
+        iterator(const Value* first, std::size_t column)
+            : first_(first), column_(column) {}
+        reference operator*() const { return first_[column_ << kChunkShift]; }
+        pointer operator->() const { return &**this; }
+        iterator& operator++() {
+            ++column_;
+            return *this;
+        }
+        iterator operator++(int) {
+            iterator old = *this;
+            ++*this;
+            return old;
+        }
+        friend bool operator==(iterator a, iterator b) {
+            return a.first_ == b.first_ && a.column_ == b.column_;
+        }
+
+    private:
+        const Value* first_ = nullptr;
+        std::size_t column_ = 0;  ///< no pointer past the chunk is formed
+    };
+
+    RowView(const Value* first, std::size_t columns)
+        : first_(first), columns_(columns) {}
+
+    [[nodiscard]] const Value& operator[](std::size_t c) const {
+        return first_[c << kChunkShift];
+    }
+    [[nodiscard]] std::size_t size() const { return columns_; }
+    [[nodiscard]] iterator begin() const { return iterator(first_, 0); }
+    [[nodiscard]] iterator end() const { return iterator(first_, columns_); }
+    [[nodiscard]] Row to_row() const { return Row(begin(), end()); }
+
+private:
+    const Value* first_;
+    std::size_t columns_;
+};
 
 // -- row checks that need only the definition --------------------------------
 // Table::insert and the snapshot checker share these, so a row the
@@ -96,7 +159,7 @@ struct IntegrityReport;
 class MutationLog {
 public:
     virtual ~MutationLog() = default;
-    virtual void log_insert(const Table& table, const Row& row) = 0;
+    virtual void log_insert(const Table& table, RowView row) = 0;
     virtual void log_update(const Table& table, RowId row, int column,
                             const Value& value) = 0;
     virtual void log_delete_where(const Table& table, int column,
@@ -105,53 +168,58 @@ public:
                                   IndexKind kind) = 0;
 };
 
-/// Chunked row storage with per-chunk copy-on-write (DESIGN.md §15).
+/// Column-major chunked row storage with per-chunk copy-on-write
+/// (DESIGN.md §15).
 ///
-/// Rows live in fixed-capacity chunks behind shared_ptrs; a chunk's
-/// slot array never moves or resizes.  publish() marks every chunk
-/// shared and returns a structurally sharing copy for a frozen table
-/// version — O(#chunks), no row copies.  A published version never
-/// reads past its own size, so the writer appends into a shared tail
-/// chunk in place and rewrites rows past the last publish() (`shared_`)
-/// in place too.  Only mut() of a published row clones its chunk, once
-/// per publish (`owned` flags), so a published row is immutable for its
-/// whole lifetime and concurrent readers of pinned versions are
-/// race-free by construction.  Ownership state is writer-private: no
-/// refcount inspection, no atomics, deterministic under TSan.
+/// A chunk is one fixed array of `columns × kChunkRows` Values behind a
+/// shared_ptr, cell (r, c) at `c * kChunkRows + r`, so a scan of one
+/// column walks contiguous cells.  A chunk never moves or resizes.
+/// Inserts scatter a Row's cells into their columns; readers borrow
+/// cells in place (cell(), or a RowView of the whole row).  publish()
+/// marks every chunk shared and returns a structurally sharing copy for
+/// a frozen table version — O(#chunks), no cell copies.  A published
+/// version never reads past its own size, so the writer appends into a
+/// shared tail chunk in place and rewrites rows past the last publish()
+/// (`shared_`) in place too.  Only mut() of a published row clones its
+/// chunk, once per publish (`owned` flags), so a published cell is
+/// immutable for its whole lifetime and concurrent readers of pinned
+/// versions are race-free by construction.  Ownership state is
+/// writer-private: no refcount inspection, no atomics, deterministic
+/// under TSan.
 class RowStore {
 public:
-    static constexpr std::size_t kChunkShift = 10;
-    static constexpr std::size_t kChunkRows = std::size_t{1} << kChunkShift;
-    static constexpr std::size_t kChunkMask = kChunkRows - 1;
+    explicit RowStore(std::size_t columns) : columns_(columns) {}
 
     [[nodiscard]] std::size_t size() const { return size_; }
     [[nodiscard]] bool empty() const { return size_ == 0; }
-    [[nodiscard]] const Row& operator[](std::size_t i) const {
-        return slots_[i >> kChunkShift].chunk->rows[i & kChunkMask];
+    [[nodiscard]] std::size_t columns() const { return columns_; }
+    /// Cell `c` of row `i`, in place.
+    [[nodiscard]] const Value& cell(std::size_t i, std::size_t c) const {
+        return slots_[i >> kChunkShift]
+            .cells[(c << kChunkShift) | (i & kChunkMask)];
     }
-    /// Mutable access for the writer; copies the containing chunk first
+    [[nodiscard]] RowView operator[](std::size_t i) const {
+        return RowView(&cell(i, 0), columns_);
+    }
+    /// Mutable cell for the writer; copies the containing chunk first
     /// when the row is published and the chunk still shared.
-    [[nodiscard]] Row& mut(std::size_t i) {
+    [[nodiscard]] Value& mut(std::size_t i, std::size_t c) {
         Slot& s = slots_[i >> kChunkShift];
         if (!s.owned && i < shared_) own(i >> kChunkShift);
-        return s.chunk->rows[i & kChunkMask];
+        return s.cells[(c << kChunkShift) | (i & kChunkMask)];
     }
 
-    void push_back(Row&& row) {
+    /// Append a row of NULL cells and return its cell 0 for the writer
+    /// to fill; cell `c` sits `c << kChunkShift` Values further on.
+    [[nodiscard]] Value* append() {
         if ((size_ & kChunkMask) == 0)
-            slots_.push_back(Slot{std::make_shared<Chunk>(), true});
-        slots_.back().chunk->rows[size_ & kChunkMask] = std::move(row);
-        ++size_;
+            slots_.push_back(Slot{new_chunk(), true});
+        return &slots_.back().cells[size_++ & kChunkMask];
     }
     /// Truncate to `n` rows (unit rollback); whole chunks past the cut
-    /// are dropped.  Rows no version published are cleared in place; a
+    /// are dropped.  Cells no version published are cleared in place; a
     /// cut below the last publish() clones the shared tail chunk.
     void truncate(std::size_t n);
-    void clear() {
-        slots_.clear();
-        size_ = 0;
-        shared_ = 0;
-    }
     void reserve(std::size_t additional) {
         slots_.reserve((size_ + additional + kChunkRows - 1) >> kChunkShift);
     }
@@ -164,17 +232,21 @@ public:
     [[nodiscard]] std::uint64_t chunks_cowed() const { return chunks_cowed_; }
 
 private:
-    struct Chunk {
-        std::array<Row, kChunkRows> rows;
-    };
     struct Slot {
-        std::shared_ptr<Chunk> chunk;
+        std::shared_ptr<Value[]> cells;  ///< columns_ × kChunkRows
         bool owned = true;  ///< writer-private: cloned since the last publish
     };
 
     /// Replace shared chunk `c` with a private copy of its live rows.
     void own(std::size_t c);
+    /// A chunk of NULL cells; a table without columns still gets one
+    /// column's worth, so a row's cell 0 is always inside its chunk.
+    [[nodiscard]] std::shared_ptr<Value[]> new_chunk() const {
+        return std::make_shared<Value[]>(std::max<std::size_t>(columns_, 1)
+                                         << kChunkShift);
+    }
 
+    std::size_t columns_;
     std::vector<Slot> slots_;
     std::size_t size_ = 0;
     std::size_t shared_ = 0;  ///< rows a published version may read
@@ -204,6 +276,23 @@ public:
     /// a trusted plan skip it.  Rows with a NULL auto-increment primary key
     /// are assigned keys; returns the number of rows appended.
     std::size_t insert_batch(std::vector<Row> rows, bool validate_rows = true);
+
+    /// Append one row whose cell `c` is `decode(c)`, decoded straight into
+    /// storage with no Row in between (snapshot and WAL recovery).  The
+    /// caller has checked the arity; everything else is checked as by
+    /// insert(), and a row that fails leaves the table unchanged.
+    template <class Decode>
+    std::int64_t insert_decoded(Decode&& decode) {
+        Value* first = store_.append();
+        try {
+            for (std::size_t c = 0; c < def_.columns.size(); ++c)
+                first[c << kChunkShift] = decode(c);
+        } catch (...) {
+            store_.truncate(store_.size() - 1);
+            throw;
+        }
+        return admit_appended(true);
+    }
 
     /// Reserve the next primary-key value without inserting — bulk loaders
     /// allocate keys up front so child rows can reference a parent row that
@@ -263,13 +352,17 @@ public:
     /// Drop and repopulate every secondary index from current row storage.
     void rebuild_indexes();
 
-    [[nodiscard]] const Row& row(RowId id) const { return store_[id]; }
+    /// Row `id`, borrowed in place (see RowView for its lifetime).
+    [[nodiscard]] RowView row(RowId id) const { return store_[id]; }
+    /// Cell `column` of row `id`, in place: a scan's cheapest read.
+    [[nodiscard]] const Value& cell(RowId id, std::size_t column) const {
+        return store_.cell(id, column);
+    }
 
     /// Value of the named column in row `id`.
     [[nodiscard]] const Value& at(RowId id, std::string_view column) const;
 
-    /// Row with the given primary-key value, or nullptr.
-    [[nodiscard]] const Row* find_pk(std::int64_t pk) const;
+    /// Row id of the row with the given primary-key value, if any.
     [[nodiscard]] std::optional<RowId> find_pk_rowid(std::int64_t pk) const;
 
     /// In-place update of one cell (keeps indexes consistent).
@@ -432,9 +525,11 @@ private:
 
     /// Repopulate `idx` from current row storage, bottom-up.
     void build_index(SecondaryIndex& idx);
-    void validate(const Row& row) const;
     void index_row(RowId id);
     std::int64_t do_insert(Row&& row, bool validate_row);
+    /// Assign, check and index the row just appended to storage; a row
+    /// that fails a check is truncated away before the exception leaves.
+    std::int64_t admit_appended(bool validate_row);
     void bump_next_pk(std::int64_t pk);
 };
 

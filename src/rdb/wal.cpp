@@ -148,7 +148,7 @@ void Wal::close() noexcept {
     fd_ = -1;
 }
 
-void Wal::log_insert(const Table& table, const Row& row) {
+void Wal::log_insert(const Table& table, RowView row) {
     std::string payload;
     serial::put_string(payload, table.name());
     serial::put_row(payload, row);
@@ -338,8 +338,7 @@ WalReplayStats replay_wal(const std::string& path, Database& db,
                     break;
                 }
                 case kInsert: {
-                    Table& t = db.require(in.string());
-                    t.insert(serial::read_row(in));
+                    serial::insert_row(in, db.require(in.string()));
                     break;
                 }
                 case kUpdate: {

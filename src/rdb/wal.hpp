@@ -52,7 +52,7 @@ public:
     Wal& operator=(const Wal&) = delete;
 
     // MutationLog (called by Table after the in-memory mutation):
-    void log_insert(const Table& table, const Row& row) override;
+    void log_insert(const Table& table, RowView row) override;
     void log_update(const Table& table, RowId row, int column,
                     const Value& value) override;
     void log_delete_where(const Table& table, int column,

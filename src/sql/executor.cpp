@@ -214,8 +214,8 @@ public:
             case Expr::Kind::kLiteral:
                 return e.literal;
             case Expr::Kind::kColumn:
-                return tables_[e.bound_table].table->row(
-                    ctx[e.bound_table])[e.bound_column];
+                return tables_[e.bound_table].table->cell(ctx[e.bound_table],
+                                                          e.bound_column);
             case Expr::Kind::kNot: {
                 bool t = truthy(eval(*e.right, ctx, scratch));
                 return scratch = Value(static_cast<std::int64_t>(!t));
@@ -512,6 +512,9 @@ private:
     std::vector<BoundTable> tables_;
     std::vector<Stage> stages_;
     std::vector<const Expr*> final_filters_;
+    /// Conjuncts that reference no table, checked at stage 0's first
+    /// candidate (so one that throws still throws only when a row exists).
+    std::vector<const Expr*> table_free_;
     std::vector<int> order_output_idx_;  ///< -1 = evaluate against the row ctx
 
     void count(std::atomic<std::size_t> ExecStats::*member, std::size_t n = 1) {
@@ -731,10 +734,16 @@ private:
 
         // Everything else filters at the earliest possible stage: as a
         // batch kernel when it compares a column of that stage's table with
-        // a literal, else as a generic residual.
+        // a literal, else as a generic residual.  A conjunct that reads no
+        // table holds for every row context or for none; it runs once.
         for (std::size_t c = 0; c < conjuncts.size(); ++c) {
             if (used[c]) continue;
-            Stage& st = stages_[std::max(0, max_table(*conjuncts[c]))];
+            int table = max_table(*conjuncts[c]);
+            if (table < 0) {
+                table_free_.push_back(conjuncts[c]);
+                continue;
+            }
+            Stage& st = stages_[table];
             if (auto kernel = compile_kernel(*conjuncts[c]))
                 st.kernels.push_back(*kernel);
             else
@@ -756,7 +765,7 @@ private:
                 st.use_index = true;
             } else {
                 for (RowId id = 0; id < t->row_count(); ++id)
-                    st.hash.emplace(t->row(id)[st.inner_column], id);
+                    st.hash.emplace(t->cell(id, st.inner_column), id);
                 count(&ExecStats::hash_joins);
             }
         }
@@ -765,6 +774,7 @@ private:
     void enumerate(const Evaluator& eval,
                    const std::function<void(std::span<const RowId>)>& emit) {
         std::vector<RowId> ctx(tables_.size());
+        bool table_free_checked = table_free_.empty();
 
         std::function<void(std::size_t)> descend = [&](std::size_t s) {
             const Stage& stage = stages_[s];
@@ -790,8 +800,16 @@ private:
                 }
             };
             for_each_candidate(s, eval, ctx, [&](RowId id) {
+                if (!table_free_checked) {
+                    // Only stage 0 gets here, and only once: when a
+                    // table-free conjunct is not true, nothing passes.
+                    table_free_checked = true;
+                    for (const Expr* e : table_free_)
+                        if (!truthy(eval.eval(*e, ctx, scratch))) return false;
+                }
                 batch[pending++] = id;
                 if (pending == batch.size()) flush();
+                return true;
             });
             flush();
         };
@@ -815,7 +833,7 @@ private:
             for (std::size_t i = 0; i < n; ++i) {
                 RowId id = ids[i];
                 ids[kept] = id;
-                kept += k.holds(t.row(id)[k.column]);
+                kept += k.holds(t.cell(id, k.column));
             }
             n = kept;
         }
@@ -825,7 +843,7 @@ private:
     /// Hands every candidate row of stage `s` for the outer context `ctx`
     /// to `accept`, through the stage's access path: the driving index
     /// lookup, the equi-join index or hash probe, the range lookup, or the
-    /// full scan.
+    /// full scan.  The scan ends early when `accept` returns false.
     template <class Accept>
     void for_each_candidate(std::size_t s, const Evaluator& eval,
                             std::span<const RowId> ctx, Accept&& accept) {
@@ -839,7 +857,7 @@ private:
             count(&ExecStats::index_lookups);
             for (RowId id :
                  t->index_lookup(col, stage.driving_eq_literal->literal))
-                accept(id);
+                if (!accept(id)) return;
             return;
         }
 
@@ -855,12 +873,12 @@ private:
                         accept(*id);
                 } else {
                     for (RowId id : t->index_lookup(coldef.name, key))
-                        accept(id);
+                        if (!accept(id)) return;
                 }
             } else {
                 auto range = stage.hash.equal_range(key);
                 for (auto it = range.first; it != range.second; ++it)
-                    accept(it->second);
+                    if (!accept(it->second)) return;
             }
             return;
         }
@@ -883,12 +901,13 @@ private:
             count(&ExecStats::range_scans);
             for (RowId id : t->index_range_lookup(col, lop, stage.range_lo_strict,
                                                   hip, stage.range_hi_strict))
-                accept(id);
+                if (!accept(id)) return;
             return;
         }
 
         if (s > 0) count(&ExecStats::nested_loop_joins);
-        for (RowId id = 0; id < t->row_count(); ++id) accept(id);
+        for (RowId id = 0; id < t->row_count(); ++id)
+            if (!accept(id)) return;
     }
 
     /// One output row of a non-aggregate select.
@@ -898,10 +917,9 @@ private:
         Value scratch;
         for (const auto& item : stmt_.items) {
             if (item.star) {
-                for (std::size_t t = 0; t < tables_.size(); ++t) {
-                    const Row& r = tables_[t].table->row(ctx[t]);
-                    out.insert(out.end(), r.begin(), r.end());
-                }
+                for (std::size_t t = 0; t < tables_.size(); ++t)
+                    for (const Value& v : tables_[t].table->row(ctx[t]))
+                        out.push_back(v);
             } else {
                 out.push_back(eval.eval(*item.expr, ctx, scratch));
             }

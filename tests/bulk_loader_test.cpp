@@ -52,7 +52,7 @@ std::vector<std::string> registry_fingerprint(const rdb::Database& db) {
     int idval = reg->def().column_index("idval");
     int entity = reg->def().column_index("entity");
     for (rdb::RowId id = 0; id < reg->row_count(); ++id) {
-        const auto& row = reg->row(id);
+        auto row = reg->row(id);
         out.push_back(row[doc].to_string() + "|" + row[idval].to_string() +
                       "|" + row[entity].to_string());
     }
@@ -398,10 +398,10 @@ TEST(BulkLoader, InsertBatchAssignsKeysAndMaintainsIndexes) {
     EXPECT_EQ(t.insert_batch(std::move(rows)), 3u);
     EXPECT_EQ(t.row_count(), 3u);
 
-    EXPECT_NE(t.find_pk(1), nullptr);
-    EXPECT_NE(t.find_pk(10), nullptr);
+    EXPECT_TRUE(t.find_pk_rowid(1));
+    EXPECT_TRUE(t.find_pk_rowid(10));
     // Auto keys continue past explicit ones (batch assigned 1, 10, 11).
-    EXPECT_NE(t.find_pk(11), nullptr);
+    EXPECT_TRUE(t.find_pk_rowid(11));
     EXPECT_EQ(t.insert({Value::null(), Value("c")}), 12);
     EXPECT_EQ(t.index_lookup("v", Value("a")).size(), 2u);
 

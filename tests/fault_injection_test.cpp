@@ -276,7 +276,7 @@ void expect_bulk_equivalent(const rdb::Database& a, const rdb::Database& b) {
         int doc = reg->def().column_index("doc");
         int idval = reg->def().column_index("idval");
         for (rdb::RowId id = 0; id < reg->row_count(); ++id) {
-            const auto& row = reg->row(id);
+            auto row = reg->row(id);
             out.push_back(row[doc].to_string() + "|" + row[idval].to_string());
         }
         std::sort(out.begin(), out.end());
@@ -427,7 +427,7 @@ TEST(FaultInjection, FaultedDocumentsPreserveIntervalLabelOrdering) {
                 int level = table.def().column_index("level");
                 if (pre < 0) continue;
                 for (rdb::RowId id = 0; id < table.row_count(); ++id) {
-                    const auto& row = table.row(id);
+                    auto row = table.row(id);
                     ivs.push_back(
                         {row[static_cast<std::size_t>(pre)].as_integer(),
                          row[static_cast<std::size_t>(post)].as_integer(),

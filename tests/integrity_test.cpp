@@ -248,7 +248,7 @@ TEST(Integrity, VerifyFlagsDuplicateDocRegistration) {
     rdb::Table* docs = stack.db.table("xrel_docs");
     ASSERT_NE(docs, nullptr);
     ASSERT_EQ(docs->row_count(), 1u);
-    rdb::Row dup = docs->row(0);
+    rdb::Row dup = docs->row(0).to_row();
     dup[0] = rdb::Value::null();  // fresh pk
     docs->insert(std::move(dup));
     rdb::IntegrityReport report = stack.db.verify();
@@ -587,7 +587,7 @@ std::vector<TableImage> image_of(const rdb::Database& db) {
         const rdb::Table& t = db.require(name);
         TableImage ti{t.def(), t.peek_next_pk(), t.index_defs(), {}};
         for (rdb::RowId id = 0; id < t.row_count(); ++id)
-            ti.rows.push_back(t.row(id));
+            ti.rows.push_back(t.row(id).to_row());
         out.push_back(std::move(ti));
     }
     return out;

@@ -13,6 +13,7 @@
 //
 // Replayable: the base seed prints at the start of the run; override
 // with XMLREL_FUZZ_SEED to reproduce a failure.
+#include <atomic>
 #include <cstdlib>
 #include <iostream>
 #include <map>
@@ -326,6 +327,73 @@ TEST(Mvcc, VersionGcRetiresEpochs) {
     EXPECT_EQ(st.versions_live, 1u)
         << "only the current epoch should remain pinned: " << st.to_string();
     EXPECT_GT(st.versions_retired, 0u);
+}
+
+// Column-major chunks (DESIGN.md §15): readers of pinned versions scan a
+// column of the shared tail chunk — cell by cell and through the SQL batch
+// filter — while the writer appends rows into that same chunk and commits.
+// A published row's cells never change, so every pinned version reads
+// exactly the rows it published; under TSan any write to a cell a reader
+// can reach is a reported race.
+TEST(Mvcc, ReadersScanTailChunkColumnWhileWriterAppends) {
+    auto name_of = [](std::int64_t pk) {
+        return "tail-chunk-row-with-a-heap-name-" + std::to_string(pk);
+    };
+    rdb::Database db;
+    rdb::TableDef def;
+    def.name = "tail";
+    def.columns = {{"pk", rdb::ValueType::kInteger, true, true},
+                   {"name", rdb::ValueType::kText, true, false},
+                   {"age", rdb::ValueType::kInteger, false, false}};
+    rdb::Table& live = db.create_table(std::move(def));
+    auto append = [&](int rows) {
+        db.begin_unit();
+        for (int i = 0; i < rows; ++i) {
+            std::int64_t pk = live.peek_next_pk();
+            live.insert({rdb::Value(pk), rdb::Value(name_of(pk)),
+                         rdb::Value(pk % 7)});
+        }
+        db.commit_unit();
+    };
+    append(100);
+
+    constexpr int kReaders = 3;
+    constexpr std::size_t kTarget = rdb::kChunkRows + 200;  // into chunk two
+    std::atomic<bool> done{false};
+    std::vector<std::size_t> scans(kReaders, 0);
+    std::vector<std::thread> readers;
+    for (int r = 0; r < kReaders; ++r) {
+        readers.emplace_back([&, r] {
+            while (!done.load(std::memory_order_acquire) || scans[r] < 3) {
+                rdb::ReadSnapshot snap = db.read_snapshot();
+                const rdb::Table& t = snap.view().require("tail");
+                const std::size_t rows = t.row_count();
+                std::size_t sevens = 0;
+                for (rdb::RowId id = 0; id < rows; ++id) {
+                    const rdb::Value& name = t.cell(id, 1);
+                    ASSERT_EQ(name.as_text(),
+                              name_of(static_cast<std::int64_t>(id) + 1));
+                    sevens += t.cell(id, 2).as_integer() == 3;
+                }
+                sql::ResultSet rs = sql::execute_read(
+                    snap.view(), "SELECT COUNT(*) FROM tail WHERE age = 3 "
+                                 "AND name <> 'no such name'");
+                ASSERT_EQ(rs.scalar().as_integer(),
+                          static_cast<std::int64_t>(sevens));
+                ASSERT_EQ(t.row_count(), rows) << "a pinned version grew";
+                ++scans[r];
+            }
+        });
+    }
+    for (int step = 0; live.row_count() < kTarget; ++step)
+        append(1 + step % 29);
+    done.store(true, std::memory_order_release);
+    for (auto& t : readers) t.join();
+
+    for (std::size_t n : scans) EXPECT_GE(n, 3u);
+    // Every append landed in place in a chunk published versions share.
+    EXPECT_EQ(db.mvcc_stats().chunks_cowed, 0u);
+    EXPECT_GE(live.row_count(), kTarget);
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
@@ -11,11 +13,17 @@
 
 #include "common/fault.hpp"
 #include "common/rng.hpp"
+#include "gen/corpora.hpp"
 #include "helpers.hpp"
+#include "loader/loader.hpp"
 #include "rdb/cow_btree.hpp"
 #include "rdb/database.hpp"
 
 namespace xr::rdb {
+
+// Readable Values in assertion failures.
+void PrintTo(const Value& v, std::ostream* os) { *os << v.to_string(); }
+
 namespace {
 
 TableDef people_def() {
@@ -97,9 +105,9 @@ TEST(Table, ArityChecked) {
 TEST(Table, FindPk) {
     Table t(people_def());
     t.insert({Value(5), Value("x"), Value::null()});
-    ASSERT_NE(t.find_pk(5), nullptr);
-    EXPECT_EQ((*t.find_pk(5))[1].as_text(), "x");
-    EXPECT_EQ(t.find_pk(6), nullptr);
+    ASSERT_TRUE(t.find_pk_rowid(5));
+    EXPECT_EQ(t.row(*t.find_pk_rowid(5))[1].as_text(), "x");
+    EXPECT_FALSE(t.find_pk_rowid(6));
 }
 
 TEST(Table, AllocatePkReservesKeys) {
@@ -165,8 +173,8 @@ TEST(Table, DeleteWhereCompactsAndRebuilds) {
     EXPECT_EQ(t.row_count(), 1u);
     EXPECT_EQ(t.at(0, "name").as_text(), "b");
     // pk lookup and indexes survive the compaction.
-    ASSERT_NE(t.find_pk(2), nullptr);
-    EXPECT_EQ(t.find_pk(1), nullptr);
+    ASSERT_TRUE(t.find_pk_rowid(2));
+    EXPECT_FALSE(t.find_pk_rowid(1));
     EXPECT_EQ(t.index_lookup("age", Value(2)).size(), 1u);
     EXPECT_TRUE(t.index_lookup("age", Value(1)).empty());
     // New inserts continue past the old max pk.
@@ -485,6 +493,193 @@ TEST(Database, RecoveryPublishesOnceAndAnalyzeIsAtomic) {
         db.read_snapshot().version().require(Database::kStatsTable);
     ASSERT_EQ(cat.row_count(), 3u);
     EXPECT_EQ(cat.row(0)[2].as_integer(), 20);
+}
+
+// -- column-major row chunks (DESIGN.md §15) ---------------------------------
+
+/// Every cell of rows [0, rows) of `t`, read through RowView iteration.
+std::vector<Row> rows_of(const Table& t) {
+    std::vector<Row> out;
+    for (RowId id = 0; id < t.row_count(); ++id) {
+        Row row;
+        for (const Value& v : t.row(id)) row.push_back(v);
+        out.push_back(std::move(row));
+    }
+    return out;
+}
+
+Row person(int i) {
+    return {Value(static_cast<std::int64_t>(i + 1)),
+            Value("person-with-a-long-name-" + std::to_string(i)),
+            i % 3 == 0 ? Value::null() : Value(i)};
+}
+
+// A rollback that cuts back across a chunk boundary drops the chunks past
+// the cut and clears the cut cells of the new tail chunk, which takes the
+// next rows in place; no published row is cut, so no chunk is copied.
+TEST(RowStore, TruncateAcrossChunkBoundary) {
+    Database db;
+    Table& t = db.create_table(people_def());
+    db.begin_unit();
+    for (int i = 0; i < 1000; ++i) t.insert(person(i));
+    db.commit_unit();
+    const std::vector<Row> published = rows_of(t);
+    ReadSnapshot pinned = db.read_snapshot();
+
+    std::uint64_t chunks0 = t.chunks_cowed();
+    db.begin_unit();
+    for (int i = 1000; i < 2100; ++i) t.insert(person(i));
+    ASSERT_EQ(t.row_count(), 2100u);
+    db.rollback_unit();
+    EXPECT_EQ(rows_of(t), published);
+    EXPECT_EQ(t.chunks_cowed(), chunks0);
+
+    // The cleared slots take new rows; keys restart at the watermark.
+    db.begin_unit();
+    EXPECT_EQ(t.insert({Value::null(), Value("next"), Value(1)}), 1001);
+    db.commit_unit();
+    EXPECT_EQ(t.row(1000).to_row(),
+              (Row{Value(1001), Value("next"), Value(1)}));
+    EXPECT_EQ(rows_of(pinned.version().require("people")), published);
+    EXPECT_TRUE(db.verify().clean()) << db.verify().to_string();
+}
+
+// A cut below the last publish (a unit opened before it) inside the shared
+// tail chunk copies that chunk: the frozen clone keeps reading the cut
+// rows, and rows appended after the cut land in the copy, not in it.
+TEST(RowStore, TruncateInsidePublishedTailChunkCopiesIt) {
+    Table t(people_def());
+    for (int i = 0; i < 1200; ++i) t.insert(person(i));
+    t.begin_unit();
+    for (int i = 1200; i < 1500; ++i) t.insert(person(i));
+    std::shared_ptr<const Table> frozen = t.publish();
+    const std::vector<Row> before = rows_of(*frozen);
+    ASSERT_EQ(before.size(), 1500u);
+
+    t.rollback_unit();
+    EXPECT_EQ(t.row_count(), 1200u);
+    EXPECT_EQ(t.chunks_cowed(), 1u);  // the shared tail chunk, once
+    for (int i = 0; i < 100; ++i)
+        t.insert({Value::null(), Value("after-the-cut"), Value(i)});
+    EXPECT_EQ(t.chunks_cowed(), 1u);
+    EXPECT_EQ(rows_of(*frozen), before);
+    EXPECT_EQ(t.row(1200)[1].as_text(), "after-the-cut");
+    EXPECT_EQ(t.row(1199).to_row(), before[1199]);
+
+    // A cut to zero drops every chunk without copying one.
+    Table empty(people_def());
+    empty.begin_unit();
+    for (int i = 0; i < 1500; ++i) empty.insert(person(i));
+    std::shared_ptr<const Table> full = empty.publish();
+    empty.rollback_unit();
+    EXPECT_EQ(empty.row_count(), 0u);
+    EXPECT_EQ(empty.chunks_cowed(), 0u);
+    EXPECT_EQ(rows_of(*full), before);
+}
+
+// Updating a published row copies its chunk once; the frozen version
+// keeps the old cells, and later updates to the same chunk copy nothing.
+TEST(RowStore, UpdateOfPublishedRowCopiesChunkOnce) {
+    Table t(people_def());
+    for (int i = 0; i < 2048 + 10; ++i) t.insert(person(i));
+    std::shared_ptr<const Table> frozen = t.publish();
+    const std::vector<Row> before = rows_of(*frozen);
+
+    t.update(1500, "name", Value("renamed"));
+    EXPECT_EQ(t.chunks_cowed(), 1u);
+    t.update(1501, "age", Value(-7));
+    t.update(2047, "age", Value::null());
+    EXPECT_EQ(t.chunks_cowed(), 1u);  // same chunk, already owned
+    t.update(2050, "name", Value("tail"));
+    EXPECT_EQ(t.chunks_cowed(), 2u);  // the shared tail chunk
+
+    EXPECT_EQ(rows_of(*frozen), before);
+    EXPECT_EQ(frozen->row(1500)[1].as_text(), before[1500][1].as_text());
+    EXPECT_EQ(t.row(1500)[1].as_text(), "renamed");
+    EXPECT_EQ(t.row(1501)[2].as_integer(), -7);
+    EXPECT_TRUE(t.row(2047)[2].is_null());
+    EXPECT_EQ(t.row(2050)[1].as_text(), "tail");
+    // Untouched rows of the copied chunks read the same on both sides.
+    EXPECT_EQ(t.row(1024).to_row(), before[1024]);
+    EXPECT_EQ(t.row(2057).to_row(), before[2057]);
+}
+
+// delete_where compacts survivors into fresh chunks in order, across
+// chunk boundaries, and leaves a pinned version's rows untouched.
+TEST(RowStore, DeleteWhereCompactsAcrossChunks) {
+    Table t(people_def());
+    std::vector<Row> kept;
+    for (int i = 0; i < 3000; ++i) {
+        t.insert(person(i));
+        if (i % 3 != 0) kept.push_back(person(i));  // person(i) ages NULL
+    }
+    t.create_index("age", IndexKind::kOrdered);
+    std::shared_ptr<const Table> frozen = t.publish();
+    const std::vector<Row> before = rows_of(*frozen);
+
+    // The purge salvage runs: NULL matches NULL here (index order).
+    EXPECT_EQ(t.delete_where("age", Value::null()), 1000u);
+    EXPECT_EQ(rows_of(t), kept);
+    EXPECT_EQ(rows_of(*frozen), before);
+    Value lo(2000);
+    EXPECT_EQ(t.index_range_lookup("age", &lo, false, nullptr, false).size(),
+              static_cast<std::size_t>(std::count_if(
+                  kept.begin(), kept.end(), [](const Row& r) {
+                      return !r[2].is_null() && r[2].as_integer() >= 2000;
+                  })));
+    EXPECT_EQ(t.row(*t.find_pk_rowid(3000))[1].as_text(),
+              "person-with-a-long-name-2999");
+}
+
+/// Forwards every shredded row to its table and keeps the row as
+/// inserted (with the key the insert assigned).
+class RecordingSink : public loader::RowSink {
+public:
+    std::map<std::string, std::vector<Row>> rows;
+
+    std::int64_t allocate_pk(Table& table) override {
+        return table.allocate_pk();
+    }
+    void append(Table& table, Row row) override {
+        Row copy = row;
+        int pk = table.def().column_index("pk");
+        std::int64_t key = table.insert(std::move(row));
+        if (pk >= 0 && copy[static_cast<std::size_t>(pk)].is_null())
+            copy[static_cast<std::size_t>(pk)] = Value(key);
+        rows[table.name()].push_back(std::move(copy));
+    }
+};
+
+// For every table a corpus load writes, each stored row read back through
+// RowView (iteration, operator[] and to_row) equals the Row inserted.
+TEST(RowStore, RowViewsOfALoadedCorpusEqualTheInsertedRows) {
+    test::Stack stack(gen::paper_dtd());
+    RecordingSink sink;
+    loader::LoadOptions options;
+    options.validate = false;
+    options.resolve_references = false;
+    std::int64_t doc_id = 1;
+    for (auto& doc : gen::bibliography_corpus(150, 200, 19)) {
+        loader::LoadStats stats;
+        stack.loader->shred_document(*doc, doc_id++, options, sink, stats);
+    }
+    std::size_t multi_chunk = 0;
+    for (const auto& [name, inserted] : sink.rows) {
+        const Table& t = stack.db.require(name);
+        ASSERT_EQ(t.row_count(), inserted.size()) << name;
+        multi_chunk += inserted.size() > kChunkRows;
+        for (RowId id = 0; id < t.row_count(); ++id) {
+            RowView view = t.row(id);
+            ASSERT_EQ(view.size(), t.column_count());
+            Row iterated(view.begin(), view.end());
+            ASSERT_EQ(iterated, inserted[id]) << name << " row " << id;
+            ASSERT_EQ(view.to_row(), inserted[id]);
+            for (std::size_t c = 0; c < view.size(); ++c)
+                ASSERT_EQ(&view[c], &t.cell(id, c));  // borrowed in place
+        }
+    }
+    EXPECT_GE(sink.rows.size(), 5u);
+    EXPECT_GE(multi_chunk, 1u);
 }
 
 }  // namespace

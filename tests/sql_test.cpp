@@ -531,6 +531,60 @@ TEST_F(SqlFixture, LiteralKeyFiltersRangeProbeInsteadOfHashing) {
     EXPECT_EQ(hashed.nested_loop_joins, 0u);
 }
 
+// A conjunct that reads no table is evaluated once, at stage 0's first
+// candidate: when it is not true the driving scan stops there (nothing is
+// scanned), and one that throws throws only when stage 0 has a row.
+TEST_F(SqlFixture, TableFreeConjunctsRunOncePerExecution) {
+    ExecStats stats;
+    EXPECT_EQ(q("SELECT name FROM emp WHERE 1 = 0", &stats).row_count(), 0u);
+    EXPECT_EQ(stats.rows_scanned, 0u);
+
+    stats.reset();
+    EXPECT_EQ(q("SELECT name FROM emp WHERE name <> 'bob' AND 2 > 3", &stats)
+                  .row_count(),
+              0u);
+    EXPECT_EQ(stats.rows_scanned, 0u);
+
+    stats.reset();
+    EXPECT_EQ(q("SELECT COUNT(*) FROM emp e JOIN dept d ON e.dept = d.pk "
+                "AND 1 = 0",
+                &stats)
+                  .scalar()
+                  .as_integer(),
+              0);
+    EXPECT_EQ(stats.rows_scanned, 0u);
+
+    // True: every row is scanned and filtered as without it.
+    stats.reset();
+    EXPECT_EQ(q("SELECT name FROM emp WHERE 1 = 1 AND salary > 95", &stats)
+                  .row_count(),
+              3u);
+    EXPECT_EQ(stats.rows_scanned, 5u);
+    stats.reset();
+    EXPECT_EQ(q("SELECT COUNT(*) FROM emp WHERE 1 = 0 OR 1 = 1", &stats)
+                  .scalar()
+                  .as_integer(),
+              5);
+    EXPECT_EQ(stats.rows_scanned, 5u);
+
+    // An aggregate outside aggregation throws on evaluation: only once a
+    // driving row exists.
+    execute(db, "CREATE TABLE none (pk INTEGER PRIMARY KEY)");
+    EXPECT_EQ(q("SELECT pk FROM none WHERE COUNT(*) = 1").row_count(), 0u);
+    PlannerOptions off;
+    off.enable = false;
+    EXPECT_EQ(execute(db,
+                      "SELECT none.pk FROM none JOIN emp ON emp.pk = none.pk "
+                      "WHERE COUNT(*) = 1",
+                      nullptr, {}, &off)
+                  .row_count(),
+              0u);
+    EXPECT_THROW(q("SELECT name FROM emp WHERE COUNT(*) = 1"), QueryError);
+    EXPECT_THROW(q("SELECT name FROM emp WHERE name = 'nobody' AND "
+                   "COUNT(*) = 1"),
+                 QueryError);
+}
+
 // Batch filtering keeps the per-candidate counters and the poll cadence: a
 // filtered full scan counts every row as scanned and polls once per
 // kCancelPollInterval of them, and a deadline fires in the middle of one.
@@ -558,6 +612,8 @@ TEST_F(SqlFixture, FilteredScanKeepsCountersAndCancellation) {
     // A filtered nested-loop scan of kRows x kRows candidates outlasts a
     // 1 ms deadline by far; the polls inside the batch filter stop it.  No
     // candidate survives the filter, so no later phase polls the token.
+    // (An equality on b.t would hash b once and probe it per outer row,
+    // which can finish inside the deadline.)
     PlannerOptions off;
     off.enable = false;
     CancelToken token = CancelToken::make(
@@ -565,7 +621,7 @@ TEST_F(SqlFixture, FilteredScanKeepsCountersAndCancellation) {
     ExecStats cancelled;
     EXPECT_THROW(execute(db,
                          "SELECT COUNT(*) FROM big a JOIN big b ON 1 = 1 "
-                         "WHERE b.t = 'no-such-value'",
+                         "WHERE b.t < 'a'",
                          &cancelled, token, &off),
                  DeadlineExceeded);
     EXPECT_EQ(cancelled.rows_scanned, 0u);  // an unwound query folds nothing

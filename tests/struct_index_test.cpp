@@ -50,7 +50,7 @@ std::vector<Interval> collect_intervals(const StackT& stack) {
         int level = table.def().column_index("level");
         if (pre < 0) continue;
         for (rdb::RowId id = 0; id < table.row_count(); ++id) {
-            const auto& row = table.row(id);
+            auto row = table.row(id);
             Interval iv;
             iv.pre = row[static_cast<std::size_t>(pre)].as_integer();
             iv.post = row[static_cast<std::size_t>(post)].as_integer();
@@ -104,7 +104,7 @@ TEST(StructIndex, SerialLoaderAssignsProperlyNestedLabels) {
     ASSERT_GE(base_col, 0);
     std::int64_t max_label = 0;
     for (rdb::RowId id = 0; id < docs.row_count(); ++id) {
-        const auto& row = docs.row(id);
+        auto row = docs.row(id);
         std::int64_t base = row[static_cast<std::size_t>(base_col)].as_integer();
         std::int64_t span = row[static_cast<std::size_t>(span_col)].as_integer();
         EXPECT_GT(span, 0);
