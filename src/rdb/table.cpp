@@ -419,69 +419,78 @@ void Table::create_index(std::string_view column, IndexKind kind) {
 }
 
 bool Table::has_index(std::string_view column) const {
-    int i = def_.column_index(column);
-    for (const auto& idx : indexes_)
-        if (idx.column == i) return true;
-    return false;
+    return index_position(def_.column_index(column)) >= 0;
+}
+
+int Table::index_position(int column, bool ordered) const {
+    for (std::size_t p = 0; p < indexes_.size(); ++p)
+        if (indexes_[p].column == column &&
+            (!ordered || indexes_[p].kind == IndexKind::kOrdered))
+            return static_cast<int>(p);
+    return -1;
 }
 
 std::vector<RowId> Table::index_lookup(std::string_view column,
                                        const Value& value) const {
-    int i = def_.column_index(column);
-    for (const SecondaryIndex& idx : indexes_) {
-        if (idx.column != i) continue;
-        // Equal keys are ordered by row id, so the ids come out sorted.
-        std::vector<RowId> out;
-        idx.tree.scan(
-            [&](const ValueIndex::Entry& e) { return e.key < value; },
-            [&](const ValueIndex::Entry& e) {
-                if (!(e.key == value)) return false;
-                out.push_back(e.id);
-                return true;
-            });
-        return out;
-    }
-    throw SchemaError("no index on '" + def_.name + "." + std::string(column) +
-                      "'");
+    int p = index_position(def_.column_index(column));
+    if (p < 0)
+        throw SchemaError("no index on '" + def_.name + "." +
+                          std::string(column) + "'");
+    return index_lookup_at(p, value);
+}
+
+std::vector<RowId> Table::index_lookup_at(int position,
+                                          const Value& value) const {
+    // Equal keys are ordered by row id, so the ids come out sorted.
+    std::vector<RowId> out;
+    indexes_[position].tree.scan(
+        [&](const ValueIndex::Entry& e) { return e.key < value; },
+        [&](const ValueIndex::Entry& e) {
+            if (!(e.key == value)) return false;
+            out.push_back(e.id);
+            return true;
+        });
+    return out;
 }
 
 bool Table::has_ordered_index(std::string_view column) const {
-    int i = def_.column_index(column);
-    for (const auto& idx : indexes_)
-        if (idx.column == i && idx.kind == IndexKind::kOrdered) return true;
-    return false;
+    return index_position(def_.column_index(column), true) >= 0;
 }
 
 std::vector<RowId> Table::index_range_lookup(std::string_view column,
                                              const Value* lo, bool lo_strict,
                                              const Value* hi,
                                              bool hi_strict) const {
-    int i = def_.column_index(column);
-    for (const auto& idx : indexes_) {
-        if (idx.column != i || idx.kind != IndexKind::kOrdered) continue;
-        // NULL keys sort first in the index but compare unknown in SQL,
-        // so an unbounded lower end still starts past them.
-        std::vector<RowId> out;
-        idx.tree.scan(
-            [&](const ValueIndex::Entry& e) {
-                if (lo == nullptr) return e.key.is_null();
-                auto ord = e.key.index_order(*lo);
-                return lo_strict ? ord <= 0 : ord < 0;
-            },
-            [&](const ValueIndex::Entry& e) {
-                if (e.key.is_null()) return true;
-                if (hi != nullptr) {
-                    auto ord = e.key.index_order(*hi);
-                    if (hi_strict ? ord >= 0 : ord > 0) return false;
-                }
-                out.push_back(e.id);
-                return true;
-            });
-        std::sort(out.begin(), out.end());
-        return out;
-    }
-    throw SchemaError("no ordered index on '" + def_.name + "." +
-                      std::string(column) + "'");
+    int p = index_position(def_.column_index(column), true);
+    if (p < 0)
+        throw SchemaError("no ordered index on '" + def_.name + "." +
+                          std::string(column) + "'");
+    return index_range_lookup_at(p, lo, lo_strict, hi, hi_strict);
+}
+
+std::vector<RowId> Table::index_range_lookup_at(int position, const Value* lo,
+                                                bool lo_strict, const Value* hi,
+                                                bool hi_strict) const {
+    // NULL keys sort first in the index but compare unknown in SQL, so an
+    // unbounded lower end still starts past them.
+    std::vector<RowId> out;
+    indexes_[position].tree.scan(
+        [&](const ValueIndex::Entry& e) {
+            if (lo == nullptr) return e.key.is_null();
+            auto ord = e.key.index_order(*lo);
+            return lo_strict ? ord <= 0 : ord < 0;
+        },
+        [&](const ValueIndex::Entry& e) {
+            if (e.key.is_null()) return true;
+            if (hi != nullptr) {
+                auto ord = e.key.index_order(*hi);
+                if (hi_strict ? ord >= 0 : ord > 0) return false;
+            }
+            out.push_back(e.id);
+            return true;
+        });
+    std::sort(out.begin(), out.end());
+    return out;
 }
 
 std::vector<RowId> Table::lookup(std::string_view column,

@@ -404,6 +404,17 @@ public:
     [[nodiscard]] std::vector<RowId> index_range_lookup(
         std::string_view column, const Value* lo, bool lo_strict,
         const Value* hi, bool hi_strict) const;
+    /// Position of the secondary index on column number `column` (only an
+    /// ordered one when `ordered`), or -1.  A position is stable for the
+    /// life of this table object, so a query resolves its index once and
+    /// probes by position.
+    [[nodiscard]] int index_position(int column, bool ordered = false) const;
+    /// index_lookup / index_range_lookup through a resolved position.
+    [[nodiscard]] std::vector<RowId> index_lookup_at(int position,
+                                                     const Value& value) const;
+    [[nodiscard]] std::vector<RowId> index_range_lookup_at(
+        int position, const Value* lo, bool lo_strict, const Value* hi,
+        bool hi_strict) const;
     /// Matching row ids using the index when present, else a scan.
     [[nodiscard]] std::vector<RowId> lookup(std::string_view column,
                                             const Value& value) const;

@@ -48,6 +48,14 @@ public:
     [[nodiscard]] const std::string* text_if() const {
         return std::get_if<std::string>(&data_);
     }
+    /// The integer, or nullptr when the value is not INTEGER; never throws.
+    [[nodiscard]] const std::int64_t* integer_if() const {
+        return std::get_if<std::int64_t>(&data_);
+    }
+    /// The real, or nullptr when the value is not REAL; never throws.
+    [[nodiscard]] const double* real_if() const {
+        return std::get_if<double>(&data_);
+    }
 
     /// Render for result sets ('NULL', bare number, or the text).
     [[nodiscard]] std::string to_string() const;

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <array>
+#include <cstring>
 #include <functional>
+#include <numeric>
 #include <optional>
 #include <span>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -285,6 +288,49 @@ bool contains_aggregate(const Expr& e) {
     }
 }
 
+/// Keeps, in order, the `n` ids of `ids` whose cell in `column` satisfies
+/// `keep`, compacting them in place as `ids[kept] = id; kept += keep(cell)`:
+/// no branch per id, so a column that mixes passing and failing cells
+/// costs no mispredictions.  Returns how many were kept.
+template <class Keep>
+std::size_t keep_if(const Table& t, int column, RowId* ids, std::size_t n,
+                    Keep keep) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        RowId id = ids[i];
+        ids[kept] = id;
+        kept += static_cast<std::size_t>(keep(t.cell(id, column)));
+    }
+    return kept;
+}
+
+/// Calls `f` with `op` as a compile-time constant, so a pass compiles one
+/// comparison and no switch per row.
+template <class F>
+decltype(auto) with_op(BinaryOp op, F&& f) {
+    using Op = BinaryOp;
+    switch (op) {
+        case Op::kEq: return f(std::integral_constant<Op, Op::kEq>{});
+        case Op::kNe: return f(std::integral_constant<Op, Op::kNe>{});
+        case Op::kLt: return f(std::integral_constant<Op, Op::kLt>{});
+        case Op::kLe: return f(std::integral_constant<Op, Op::kLe>{});
+        case Op::kGt: return f(std::integral_constant<Op, Op::kGt>{});
+        default: return f(std::integral_constant<Op, Op::kGe>{});
+    }
+}
+
+/// comparison_holds(Op, ordering of a and b) for numbers as Value::compare
+/// orders them: as doubles, with an unordered pair (NaN) equal.
+template <BinaryOp Op>
+bool number_holds(double a, double b) {
+    if constexpr (Op == BinaryOp::kEq) return !(a < b) & !(a > b);
+    if constexpr (Op == BinaryOp::kNe) return (a < b) | (a > b);
+    if constexpr (Op == BinaryOp::kLt) return a < b;
+    if constexpr (Op == BinaryOp::kLe) return !(a > b);
+    if constexpr (Op == BinaryOp::kGt) return a > b;
+    return !(a < b);
+}
+
 /// A residual conjunct `column op literal` on a stage's own table, compiled
 /// for the batch filter (DESIGN.md §13, "Execution: batch filtering").
 /// `literal op column` is stored with its sides swapped, so `op` always
@@ -296,18 +342,93 @@ struct Kernel {
     const Value* literal = nullptr;
 
     /// Exactly truthy(apply_binary(op, cell, *literal)): NULL is unknown
-    /// and fails, types order as in Value::compare.  Never throws.
+    /// and fails, types order as in Value::compare.  Never throws.  The
+    /// per-cell definition filter() must agree with.
     [[nodiscard]] bool holds(const Value& cell) const {
         const std::string* text = literal->text_if();
         const std::string* cell_text = cell.text_if();
-        if (text != nullptr && cell_text != nullptr) {
-            // Text equality tests the lengths before any byte.
-            if (op == BinaryOp::kEq) return *cell_text == *text;
-            if (op == BinaryOp::kNe) return *cell_text != *text;
+        if (text != nullptr && cell_text != nullptr)
             return comparison_holds(op, *cell_text <=> *text);
-        }
         auto ord = cell.compare(*literal);
         return ord && comparison_holds(op, *ord);
+    }
+
+    /// Keeps, in order, the ids among the first `n` of `ids` whose cell
+    /// holds(); returns how many.  Runs as branch-free passes, each over
+    /// the survivors of the last: drop the cells whose type cannot pass
+    /// (NULL always), then decide text `=` / `<>` by length, then compare
+    /// the bytes of same-length cells only.  Numbers compare in line.
+    /// `n` is at most kCancelPollInterval.
+    std::size_t filter(const Table& t, RowId* ids, std::size_t n) const {
+        if (literal->is_null()) return 0;
+        const std::string* text = literal->text_if();
+        if (text != nullptr && op == BinaryOp::kEq) {
+            // Only a TEXT cell can equal a text literal.
+            n = keep_if(t, column, ids, n, [](const Value& c) {
+                return c.type() == rdb::ValueType::kText;
+            });
+            n = keep_if(t, column, ids, n, [&](const Value& c) {
+                return c.text_if()->size() == text->size();
+            });
+            return keep_if(t, column, ids, n, [&](const Value& c) {
+                return same_bytes(*c.text_if(), *text);
+            });
+        }
+        n = keep_if(t, column, ids, n,
+                    [](const Value& c) { return !c.is_null(); });
+        if (text != nullptr) {
+            if (op == BinaryOp::kNe) return drop_equal_text(t, ids, n, *text);
+            return keep_if(t, column, ids, n,
+                           [&](const Value& c) { return holds(c); });
+        }
+        double number = literal->as_real();
+        return with_op(op, [&](auto o) {
+            constexpr BinaryOp kOp = decltype(o)::value;
+            return keep_if(t, column, ids, n, [&](const Value& c) {
+                if (const std::int64_t* i = c.integer_if())
+                    return number_holds<kOp>(static_cast<double>(*i), number);
+                if (const double* d = c.real_if())
+                    return number_holds<kOp>(*d, number);
+                return holds(c);  // text orders after every number
+            });
+        });
+    }
+
+private:
+    /// Byte equality of two texts already known to have the same length.
+    static bool same_bytes(const std::string& a, const std::string& b) {
+        return std::memcmp(a.data(), b.data(), a.size()) == 0;
+    }
+
+    /// `column <> text` over non-NULL cells: a number or a text of another
+    /// length passes without reading a byte; only the same-length texts
+    /// are compared, and the equal ones dropped.
+    std::size_t drop_equal_text(const Table& t, RowId* ids, std::size_t n,
+                                const std::string& text) const {
+        static_assert(kCancelPollInterval <= 256, "positions are bytes");
+        auto cell = [&](std::size_t i) -> const Value& {
+            return t.cell(ids[i], column);
+        };
+        std::array<std::uint8_t, kCancelPollInterval> at{};  // batch positions
+        std::size_t m = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            at[m] = static_cast<std::uint8_t>(i);
+            m += cell(i).type() == rdb::ValueType::kText;
+        }
+        std::size_t same = 0;
+        for (std::size_t j = 0; j < m; ++j) {
+            at[same] = at[j];
+            same += cell(at[j]).text_if()->size() == text.size();
+        }
+        std::array<bool, kCancelPollInterval> equal{};
+        for (std::size_t j = 0; j < same; ++j)
+            equal[at[j]] = same_bytes(*cell(at[j]).text_if(), text);
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < n; ++i) {
+            ids[kept] = ids[i];
+            kept += !equal[i];
+        }
+        return kept;
     }
 };
 
@@ -338,20 +459,24 @@ std::optional<Kernel> compile_kernel(const Expr& e) {
 struct Stage {
     int table = 0;
     // Equi-join access: probe `outer` (bound to earlier tables) against
-    // `inner_column` of this stage's table (via index or ad-hoc hash).
+    // `inner_column` of this stage's table, through secondary index
+    // `index`, the primary-key lookup (`pk_probe`) or the ad-hoc `hash`.
     const Expr* probe_outer = nullptr;
     int inner_column = -1;
-    bool use_index = false;
+    bool pk_probe = false;
     std::unordered_multimap<Value, RowId, rdb::ValueHash> hash;
-    // Literal equality for the driving table (index scan).
+    // Literal equality for the driving table, looked up in `index`.
     const Expr* driving_eq_literal = nullptr;
-    int driving_column = -1;
-    bool driving_index = false;
+    /// Position (Table::index_position) of the index an equi-join probe
+    /// or the driving literal equality reads, resolved once; -1 for none.
+    int index = -1;
     // Structural (interval) join: range bounds on one ordered-indexed
     // column of this stage's table, the bound expressions referencing only
     // earlier tables.  Evaluated per outer context and answered by binary
-    // search — how a.pre < d.pre AND d.pre < a.post containment runs.
+    // search on ordered index `range_index` — how a.pre < d.pre AND
+    // d.pre < a.post containment runs.
     int range_column = -1;
+    int range_index = -1;
     const Expr* range_lo = nullptr;
     bool range_lo_strict = false;
     const Expr* range_hi = nullptr;
@@ -578,8 +703,8 @@ private:
     /// counts as an index.
     [[nodiscard]] bool probe_indexed(std::size_t s, int column) const {
         const Table* t = tables_[s].table;
-        const rdb::ColumnDef& def = t->def().columns[column];
-        return def.primary_key || t->has_index(def.name);
+        return t->def().columns[column].primary_key ||
+               t->index_position(column) >= 0;
     }
 
     void build_stages() {
@@ -660,11 +785,10 @@ private:
                     lit->kind != Expr::Kind::kLiteral ||
                     stages_[0].driving_eq_literal != nullptr)
                     return false;
-                const std::string& name =
-                    tables_[0].table->def().columns[col->bound_column].name;
-                if (!tables_[0].table->has_index(name)) return false;
+                int index = tables_[0].table->index_position(col->bound_column);
+                if (index < 0) return false;
                 stages_[0].driving_eq_literal = lit;
-                stages_[0].driving_column = col->bound_column;
+                stages_[0].index = index;
                 return true;
             };
             if (try_side(e->left.get(), e->right.get()) ||
@@ -709,9 +833,9 @@ private:
                 if (col == nullptr) continue;
                 if (st.range_column >= 0 && st.range_column != col->bound_column)
                     continue;
-                const std::string& name =
-                    tables_[s].table->def().columns[col->bound_column].name;
-                if (!tables_[s].table->has_ordered_index(name)) continue;
+                int index =
+                    tables_[s].table->index_position(col->bound_column, true);
+                if (index < 0) continue;
                 // `col OP bound` with col on the right flips the direction.
                 bool greater = e->op == BinaryOp::kGt || e->op == BinaryOp::kGe;
                 if (!col_on_left) greater = !greater;
@@ -726,6 +850,7 @@ private:
                     st.range_hi_strict = strict;
                 }
                 st.range_column = col->bound_column;
+                st.range_index = index;
                 used[c] = true;
             }
         }
@@ -750,26 +875,24 @@ private:
                 st.residual.push_back(conjuncts[c]);
         }
 
-        // Prepare access paths.
-        Stage& first = stages_[0];
-        if (first.driving_eq_literal != nullptr) {
-            const std::string& col =
-                tables_[0].table->def().columns[first.driving_column].name;
-            first.driving_index = tables_[0].table->has_index(col);
-        }
+        // Prepare the equi-join probes: an index, else the pk lookup, else
+        // a hash of the whole table built once per execution.
         for (std::size_t s = 1; s < stages_.size(); ++s) {
             Stage& st = stages_[s];
             if (st.probe_outer == nullptr) continue;
             const Table* t = tables_[s].table;
-            if (probe_indexed(s, st.inner_column)) {
-                st.use_index = true;
-            } else {
+            st.index = t->index_position(st.inner_column);
+            if (st.index < 0 && t->def().columns[st.inner_column].primary_key) {
+                st.pk_probe = true;
+            } else if (st.index < 0) {
                 for (RowId id = 0; id < t->row_count(); ++id)
                     st.hash.emplace(t->cell(id, st.inner_column), id);
                 count(&ExecStats::hash_joins);
             }
         }
     }
+
+    using Batch = std::array<RowId, kCancelPollInterval>;
 
     void enumerate(const Evaluator& eval,
                    const std::function<void(std::span<const RowId>)>& emit) {
@@ -779,39 +902,33 @@ private:
         std::function<void(std::size_t)> descend = [&](std::size_t s) {
             const Stage& stage = stages_[s];
             Value scratch;  // residual results; a borrowed cell needs none
-            // The access path's candidates collect here and go through the
-            // batch filter kCancelPollInterval at a time; only survivors
-            // reach the generic residuals and the next stage.
-            std::array<RowId, kCancelPollInterval> batch;
-            std::size_t pending = 0;
+            // The access path fills `batch` kCancelPollInterval candidates
+            // at a time; the batch filter keeps the survivors, and only
+            // they reach the generic residuals and the next stage.
+            Batch batch;
             auto residuals_hold = [&] {
                 for (const Expr* r : stage.residual)
                     if (!truthy(eval.eval(*r, ctx, scratch))) return false;
                 return true;
             };
-            auto flush = [&] {
-                std::size_t kept = filter_batch(s, batch.data(), pending);
-                pending = 0;
+            for_each_batch(s, eval, ctx, batch, [&](std::size_t n) {
+                if (!table_free_checked) {
+                    // Only stage 0 gets here, and only once, with at least
+                    // one row: when a table-free conjunct is not true,
+                    // nothing passes.
+                    table_free_checked = true;
+                    for (const Expr* e : table_free_)
+                        if (!truthy(eval.eval(*e, ctx, scratch))) return false;
+                }
+                std::size_t kept = filter_batch(s, batch.data(), n);
                 for (std::size_t i = 0; i < kept; ++i) {
                     ctx[s] = batch[i];
                     if (!residuals_hold()) continue;
                     if (s + 1 == stages_.size()) emit(ctx);
                     else descend(s + 1);
                 }
-            };
-            for_each_candidate(s, eval, ctx, [&](RowId id) {
-                if (!table_free_checked) {
-                    // Only stage 0 gets here, and only once: when a
-                    // table-free conjunct is not true, nothing passes.
-                    table_free_checked = true;
-                    for (const Expr* e : table_free_)
-                        if (!truthy(eval.eval(*e, ctx, scratch))) return false;
-                }
-                batch[pending++] = id;
-                if (pending == batch.size()) flush();
                 return true;
             });
-            flush();
         };
 
         if (tables_.empty()) return;
@@ -820,44 +937,43 @@ private:
 
     /// The batch filter every access path feeds: counts the `n` candidate
     /// rows of stage `s` as scanned, polls the token once per
-    /// kCancelPollInterval of them, then runs each kernel over the batch
-    /// in a tight loop, compacting survivors to the front of `ids`.
-    /// Returns how many survived.
+    /// kCancelPollInterval of them, then runs each kernel's passes over
+    /// the batch, compacting survivors to the front of `ids`.  Returns how
+    /// many survived.
     std::size_t filter_batch(std::size_t s, RowId* ids, std::size_t n) {
-        if (n == 0) return 0;
         count(&ExecStats::rows_scanned, n);
         poll_cancel(n);
         const Table& t = *tables_[s].table;
         for (const Kernel& k : stages_[s].kernels) {
-            std::size_t kept = 0;
-            for (std::size_t i = 0; i < n; ++i) {
-                RowId id = ids[i];
-                ids[kept] = id;
-                kept += k.holds(t.cell(id, k.column));
-            }
-            n = kept;
+            if (n == 0) break;
+            n = k.filter(t, ids, n);
         }
         return n;
     }
 
-    /// Hands every candidate row of stage `s` for the outer context `ctx`
-    /// to `accept`, through the stage's access path: the driving index
-    /// lookup, the equi-join index or hash probe, the range lookup, or the
-    /// full scan.  The scan ends early when `accept` returns false.
-    template <class Accept>
-    void for_each_candidate(std::size_t s, const Evaluator& eval,
-                            std::span<const RowId> ctx, Accept&& accept) {
+    /// Hands the candidate rows of stage `s` for the outer context `ctx`
+    /// to `run`, up to kCancelPollInterval at a time in `batch`, through
+    /// the stage's access path: a full scan writes runs of consecutive row
+    /// ids, an index or range lookup copies slices of the ids it found, a
+    /// hash or pk probe gathers its matches.  `run(n)` reads the first `n`
+    /// ids of `batch` and returns false to end the enumeration early.
+    template <class Run>
+    void for_each_batch(std::size_t s, const Evaluator& eval,
+                        std::span<const RowId> ctx, Batch& batch, Run&& run) {
         const Stage& stage = stages_[s];
         const Table* t = tables_[s].table;
+        auto feed = [&](const std::vector<RowId>& ids) {
+            for (std::size_t i = 0; i < ids.size(); i += batch.size()) {
+                std::size_t n = std::min(batch.size(), ids.size() - i);
+                std::copy_n(ids.begin() + i, n, batch.begin());
+                if (!run(n)) return;
+            }
+        };
 
-        if (s == 0 && stage.driving_eq_literal != nullptr &&
-            stage.driving_index) {
-            const std::string& col =
-                t->def().columns[stage.driving_column].name;
+        if (s == 0 && stage.driving_eq_literal != nullptr) {
             count(&ExecStats::index_lookups);
-            for (RowId id :
-                 t->index_lookup(col, stage.driving_eq_literal->literal))
-                if (!accept(id)) return;
+            feed(t->index_lookup_at(stage.index,
+                                    stage.driving_eq_literal->literal));
             return;
         }
 
@@ -865,20 +981,26 @@ private:
             Value key_scratch;
             const Value& key = eval.eval(*stage.probe_outer, ctx, key_scratch);
             if (key.is_null()) return;
-            if (stage.use_index) {
-                const auto& coldef = t->def().columns[stage.inner_column];
+            if (stage.index >= 0) {
                 count(&ExecStats::index_lookups);
-                if (coldef.primary_key && !t->has_index(coldef.name)) {
-                    if (auto id = t->find_pk_rowid(key.as_integer()))
-                        accept(*id);
-                } else {
-                    for (RowId id : t->index_lookup(coldef.name, key))
-                        if (!accept(id)) return;
+                feed(t->index_lookup_at(stage.index, key));
+            } else if (stage.pk_probe) {
+                count(&ExecStats::index_lookups);
+                if (auto id = t->find_pk_rowid(key.as_integer())) {
+                    batch[0] = *id;
+                    run(1);
                 }
             } else {
                 auto range = stage.hash.equal_range(key);
-                for (auto it = range.first; it != range.second; ++it)
-                    if (!accept(it->second)) return;
+                std::size_t n = 0;
+                for (auto it = range.first; it != range.second; ++it) {
+                    batch[n++] = it->second;
+                    if (n == batch.size()) {
+                        if (!run(n)) return;
+                        n = 0;
+                    }
+                }
+                if (n > 0) run(n);
             }
             return;
         }
@@ -887,7 +1009,6 @@ private:
             // Stage 0 reaches here too: literal bounds evaluate against
             // the (empty) outer context and binary-search the driving
             // table's ordered index instead of scanning it.
-            const std::string& col = t->def().columns[stage.range_column].name;
             Value lo_scratch, hi_scratch;
             const Value *lop = nullptr, *hip = nullptr;
             if (stage.range_lo != nullptr) {
@@ -899,15 +1020,20 @@ private:
                 if (hip->is_null()) return;
             }
             count(&ExecStats::range_scans);
-            for (RowId id : t->index_range_lookup(col, lop, stage.range_lo_strict,
-                                                  hip, stage.range_hi_strict))
-                if (!accept(id)) return;
+            feed(t->index_range_lookup_at(stage.range_index, lop,
+                                          stage.range_lo_strict, hip,
+                                          stage.range_hi_strict));
             return;
         }
 
         if (s > 0) count(&ExecStats::nested_loop_joins);
-        for (RowId id = 0; id < t->row_count(); ++id)
-            if (!accept(id)) return;
+        const std::size_t rows = t->row_count();
+        for (std::size_t first = 0; first < rows; first += batch.size()) {
+            std::size_t n = std::min(batch.size(), rows - first);
+            std::iota(batch.begin(), batch.begin() + n,
+                      static_cast<RowId>(first));
+            if (!run(n)) return;
+        }
     }
 
     /// One output row of a non-aggregate select.
