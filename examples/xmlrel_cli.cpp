@@ -14,10 +14,10 @@
 //                               [--serve-threads N] [--cache-mb M]
 //       Map the DTD, validate and load the documents, then run SQL
 //       statements and/or path queries (shown with their generated SQL),
-//       and optionally reconstruct document N back to XML.  With
-//       --jobs N (N != 1) the corpus goes through the parallel bulk-load
-//       pipeline: N shredding workers (0 = one per hardware thread),
-//       batched appends, one index rebuild, one IDREF resolution pass.
+//       and optionally reconstruct document N back to XML.  Every load
+//       goes through the bulk-load pipeline: --jobs N shredding workers
+//       (default 1, run inline; 0 = one per hardware thread), batched
+//       appends, one index rebuild, one IDREF resolution pass.
 //       --on-error picks the failure policy: fail (default) rolls the
 //       whole load back on the first bad document, skip drops bad
 //       documents and keeps the rest, quarantine additionally records
@@ -162,7 +162,7 @@ int cmd_load(const std::vector<std::string>& args) {
     std::vector<std::string> sql_statements;
     std::vector<std::string> path_queries;
     std::int64_t reconstruct_doc = -1;
-    std::int64_t jobs = 1;  // 1 = serial loader; 0 = all hardware threads
+    std::int64_t jobs = 1;  // 0 = all hardware threads
     xr::loader::FailurePolicy on_error = xr::loader::FailurePolicy::kFailFast;
     std::string data_dir;
     std::int64_t checkpoint_every = 0;  // 0 = only where --no-wal requires one
@@ -334,39 +334,29 @@ int cmd_load(const std::vector<std::string>& args) {
         for (auto& e : part.errors) report.errors.push_back(std::move(e));
     };
 
-    xr::loader::Loader serial_loader(dtd, m, schema, db);
     xr::loader::BulkLoader bulk_loader(dtd, m, schema, db);
+    xr::loader::BulkLoadOptions opt;
+    opt.jobs = static_cast<std::size_t>(jobs);
+    opt.validate = true;
+    opt.on_error = on_error;
+    if (max_depth > 0)
+        opt.parse.max_depth = static_cast<std::size_t>(max_depth);
     for (std::size_t base = 0; base < texts.size(); base += chunk) {
         std::vector<std::string> part(
             texts.begin() + static_cast<std::ptrdiff_t>(base),
             texts.begin() + static_cast<std::ptrdiff_t>(
                                 std::min(base + chunk, texts.size())));
-        if (jobs == 1) {
-            xr::loader::LoadOptions opt;
-            opt.on_error = on_error;
-            if (max_depth > 0)
-                opt.parse.max_depth = static_cast<std::size_t>(max_depth);
-            merge_chunk(serial_loader.load_texts(part, opt), base);
-        } else {
-            xr::loader::BulkLoadOptions opt;
-            opt.jobs = static_cast<std::size_t>(jobs);
-            opt.validate = true;
-            opt.on_error = on_error;
-            if (max_depth > 0)
-                opt.parse.max_depth = static_cast<std::size_t>(max_depth);
-            merge_chunk(bulk_loader.load_texts(part, opt), base);
-        }
+        merge_chunk(bulk_loader.load_texts(part, opt), base);
         if (checkpoint_every > 0 && base + chunk < texts.size()) {
             xr::rdb::SnapshotStats snap = db.checkpoint();
             std::cout << "checkpoint: " << snap.tables << " table(s), "
                       << snap.rows << " row(s), " << snap.bytes << " bytes\n";
         }
     }
-    if (jobs != 1)
-        std::cout << "bulk-loaded " << report.loaded << " document(s) with "
-                  << (jobs == 0 ? "all hardware threads"
-                                : std::to_string(jobs) + " worker(s)")
-                  << "\n";
+    std::cout << "bulk-loaded " << report.loaded << " document(s) with "
+              << (jobs == 0 ? "all hardware threads"
+                            : std::to_string(jobs) + " worker(s)")
+              << "\n";
     // Without a WAL nothing has reached disk yet; with --checkpoint-every
     // the final chunk's WAL tail is folded into a last snapshot too.
     if (!data_dir.empty() && (!use_wal || checkpoint_every > 0)) {

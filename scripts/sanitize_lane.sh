@@ -15,8 +15,10 @@
 # borrowed cells, or mid-query unwinding.  The full suite under ASan is
 # slow; these labels are where the sanitizer earns its keep.
 #
-# TSan lane (`thread`): the differential query fuzzer, the concurrent
-# serving tests — readers racing loads and checkpoints, the worker pool,
+# TSan lane (`thread`): the bulk-load pipeline and the fault-injection
+# matrix (every corpus load runs through BulkLoader's worker pool, whose
+# pk-range reservations and fail-fast stop flag are shared between
+# threads), the differential query fuzzer, the concurrent serving tests — readers racing loads and checkpoints, the worker pool,
 # the caches, and shared ExecStats — plus the MVCC snapshot-isolation
 # harness (DESIGN.md §15), which is load-bearing HERE: its oracle only
 # proves epochs are handed off race-free if TSan watches the readers
@@ -60,7 +62,7 @@ case "$LANE" in
     ;;
   thread)
     BUILD_DIR=${2:-build-tsan}
-    LABELS='query|concurrency|mvcc|index|overload|planner'
+    LABELS='bulk|fault|query|concurrency|mvcc|index|overload|planner'
     ;;
   undefined)
     BUILD_DIR=${2:-build-ubsan}

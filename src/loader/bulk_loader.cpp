@@ -28,13 +28,11 @@ namespace {
 /// behind mid-document is lost (counted in leaked()).
 class StagingSink final : public RowSink {
 public:
-    explicit StagingSink(std::int64_t pk_chunk) : chunk_(pk_chunk) {}
-
     std::int64_t allocate_pk(rdb::Table& table) override {
         PkRange& r = ranges_[&table];
         if (r.next == r.end) {
-            r.next = table.allocate_pk_range(chunk_);
-            r.end = r.next + chunk_;
+            r.next = table.allocate_pk_range(kPkChunk);
+            r.end = r.next + kPkChunk;
             r.chunk_start = r.next;
         }
         ++r.allocated;
@@ -110,7 +108,6 @@ private:
         std::int64_t chunk_start = 0;  ///< first key of the current chunk
         std::int64_t allocated = 0;    ///< keys handed out, net of rewinds
     };
-    std::int64_t chunk_;
     std::size_t leaked_ = 0;
     std::unordered_map<rdb::Table*, PkRange> ranges_;
     std::unordered_map<rdb::Table*, std::vector<rdb::Row>> staged_;
@@ -125,79 +122,37 @@ BulkLoader::BulkLoader(const dtd::Dtd& logical,
                        const rel::RelationalSchema& schema, rdb::Database& db)
     : db_(db), schema_(schema), loader_(logical, mapping, schema, db) {}
 
-std::int64_t BulkLoader::next_doc_base() const {
-    std::int64_t base = 1;
-    if (const rdb::Table* docs = db_.table("xrel_docs")) {
-        int c = docs->def().column_index("doc");
-        if (c >= 0) {
-            for (rdb::RowId id = 0; id < docs->row_count(); ++id) {
-                auto row = docs->row(id);
-                if (!row[c].is_null())
-                    base = std::max(base, row[c].as_integer() + 1);
-            }
-        }
-    }
-    return base;
-}
-
-std::int64_t BulkLoader::next_label_base() const {
-    // First structural label past everything already committed — the same
-    // watermark the serial Loader recovers from xrel_docs.
-    std::int64_t base = 0;
-    if (const rdb::Table* docs = db_.table("xrel_docs")) {
-        int b = docs->def().column_index("label_base");
-        int s = docs->def().column_index("label_span");
-        if (b >= 0 && s >= 0) {
-            for (rdb::RowId id = 0; id < docs->row_count(); ++id) {
-                auto row = docs->row(id);
-                if (!row[b].is_null() && !row[s].is_null())
-                    base = std::max(base,
-                                    row[b].as_integer() + row[s].as_integer());
-            }
-        }
-    }
-    return base;
-}
-
 LoadReport BulkLoader::load_corpus(const std::vector<xml::Document*>& docs,
                                    const BulkLoadOptions& options) {
-    std::int64_t base = next_doc_base();
     return run(
         docs.size(),
-        [&](std::size_t i, RowSink& sink, LoadStats& stats,
-            const LoadOptions& lopt) {
-            loader_.shred_document(*docs[i],
-                                   base + static_cast<std::int64_t>(i), lopt,
-                                   sink, stats);
+        [&](std::size_t i, std::int64_t doc_id, RowSink& sink,
+            LoadStats& stats, const LoadOptions& lopt) {
+            loader_.shred_document(*docs[i], doc_id, lopt, sink, stats);
         },
         [&](std::size_t i) { return xml::serialize(*docs[i]); }, options);
 }
 
 LoadReport BulkLoader::load_texts(const std::vector<std::string>& texts,
                                   const BulkLoadOptions& options) {
-    std::int64_t base = next_doc_base();
     return run(
         texts.size(),
-        [&](std::size_t i, RowSink& sink, LoadStats& stats,
-            const LoadOptions& lopt) {
-            auto doc = xml::parse_document(texts[i], lopt.parse);
-            loader_.shred_document(*doc, base + static_cast<std::int64_t>(i),
-                                   lopt, sink, stats);
+        [&](std::size_t i, std::int64_t doc_id, RowSink& sink,
+            LoadStats& stats, const LoadOptions& lopt) {
+            auto doc = xml::parse_document(texts[i], options.parse);
+            loader_.shred_document(*doc, doc_id, lopt, sink, stats);
         },
         [&](std::size_t i) { return texts[i]; }, options);
 }
 
 LoadReport BulkLoader::run(
-    std::size_t count,
-    const std::function<void(std::size_t, RowSink&, LoadStats&,
-                             const LoadOptions&)>& shred_one,
+    std::size_t count, const ShredOne& shred_one,
     const std::function<std::string(std::size_t)>& raw_text,
     const BulkLoadOptions& options) {
     LoadOptions lopt;
     lopt.validate = options.validate;
     lopt.strict = options.strict;
     lopt.resolve_references = false;
-    lopt.parse = options.parse;
 
     LoadReport report;
     report.policy = options.on_error;
@@ -207,13 +162,10 @@ LoadReport BulkLoader::run(
                            ? options.jobs
                            : std::max(1u, std::thread::hardware_concurrency());
     jobs = std::clamp<std::size_t>(jobs, 1, std::max<std::size_t>(count, 1));
-    auto chunk =
-        static_cast<std::int64_t>(std::max<std::size_t>(options.pk_chunk, 1));
-    std::int64_t base = next_doc_base();
+    const Watermark next = next_watermark(db_);
+    const std::int64_t base = next.doc;
 
-    std::vector<StagingSink> sinks;
-    sinks.reserve(jobs);
-    for (std::size_t w = 0; w < jobs; ++w) sinks.emplace_back(chunk);
+    std::vector<StagingSink> sinks(jobs);
     struct WorkerState {
         LoadStats stats;                       ///< successful documents only
         std::vector<DocumentOutcome> outcomes;
@@ -248,10 +200,11 @@ LoadReport BulkLoader::run(
             LoadStats doc_stats;
             sinks[w].begin_doc();
             try {
-                shred_one(i, sinks[w], doc_stats, lopt);
+                std::int64_t doc_id = base + static_cast<std::int64_t>(i);
+                shred_one(i, doc_id, sinks[w], doc_stats, lopt);
                 sinks[w].commit_doc();
                 state.stats.merge(doc_stats);
-                outcome.doc = base + static_cast<std::int64_t>(i);
+                outcome.doc = doc_id;
                 outcome.label_span = doc_stats.label_span;
             } catch (...) {
                 sinks[w].rollback_doc();
@@ -328,9 +281,9 @@ LoadReport BulkLoader::run(
             std::map<std::int64_t, std::int64_t> doc_remap;
             // Workers labelled each document starting at 0; survivors now
             // get consecutive global intervals in corpus order — the same
-            // bases a serial load of only these documents would assign.
+            // bases loading only these documents would assign.
             std::map<std::int64_t, std::int64_t> label_shift;  // prov doc → base
-            std::int64_t label_cursor = next_label_base();
+            std::int64_t label_cursor = next.label;
             for (auto& outcome : report.outcomes) {
                 if (outcome.status != DocumentOutcome::Status::kLoaded)
                     continue;

@@ -1,14 +1,16 @@
-// Corpus-scale parallel bulk loading.
+// Corpus loading: the one driver every corpus goes through.
 //
-// The paper's Section 5 loader is serial: one document at a time, one
-// row-at-a-time insert, every index maintained on the fly.  BulkLoader
-// keeps the exact same shredding semantics (it reuses Loader's plans and
-// traversal) but restructures the work as the classic bulk-load pipeline:
+// The paper's Section 5 loader walks one document at a time; that walk is
+// Loader::load, kept as the per-document durable path and the reference
+// the corpus driver is tested against.  BulkLoader keeps the exact same
+// shredding semantics (it reuses Loader's plans and traversal) but
+// restructures a corpus load as the classic bulk-load pipeline:
 //
-//   1. parse/shred documents on a fixed-size worker pool; each worker
-//      stages rows in thread-local per-table buffers, drawing primary keys
-//      from pre-reserved ranges (Table::allocate_pk_range) so workers
-//      never contend on shared state;
+//   1. parse/shred documents on a fixed-size worker pool (inline with one
+//      job); each worker stages rows in thread-local per-table buffers,
+//      drawing primary keys from pre-reserved ranges
+//      (Table::allocate_pk_range) so workers never contend on shared
+//      state;
 //   2. merge the staging buffers into table storage through the batched
 //      insert fast path (Table::insert_batch) with secondary-index
 //      maintenance deferred (Database::begin_bulk/end_bulk);
@@ -21,14 +23,16 @@
 // rolls the database back to its pre-load state, including primary-key
 // counters.  Document-scoped failures under kSkip / kQuarantine discard
 // only that document's staged rows and rewind its key reservations where
-// possible (LoadReport::leaked_pks counts the remainder).
+// possible (LoadReport::leaked_pks counts the remainder).  The load
+// commits as one unit: one WAL fsync per corpus.
 //
-// The loaded database is row-for-row equivalent to what the serial Loader
-// produces on the same corpus, up to row order within a table and the
-// numeric values of surrogate keys (ranges are handed out per worker, so
-// key sequences interleave differently).  That equivalence holds for
-// partial loads too: after a kSkip / kQuarantine load, doc ids are dense
-// over the surviving documents, exactly as if only they were submitted.
+// The loaded database is row-for-row equivalent to what a loop of
+// Loader::load produces on the same corpus, up to row order within a
+// table and the numeric values of surrogate keys (ranges are handed out
+// per worker, so key sequences interleave differently); with one job it
+// is byte-identical.  That equivalence holds for partial loads too: after
+// a kSkip / kQuarantine load, doc ids are dense over the surviving
+// documents, exactly as if only they were submitted.
 #pragma once
 
 #include <cstddef>
@@ -38,8 +42,12 @@
 #include <vector>
 
 #include "loader/loader.hpp"
+#include "xml/parser.hpp"
 
 namespace xr::loader {
+
+/// Keys each worker reserves from a table's shared counter at a time.
+inline constexpr std::int64_t kPkChunk = 256;
 
 struct BulkLoadOptions {
     /// Worker threads for the parse/shred phase; 0 means one per hardware
@@ -50,14 +58,13 @@ struct BulkLoadOptions {
     bool validate = false;
     /// Fail on unmapped elements (strict) or divert them to overflow.
     bool strict = true;
-    /// Granularity of per-worker primary-key range reservation.  Larger
-    /// chunks mean fewer touches of the shared counter but sparser keys.
-    std::size_t pk_chunk = 256;
     /// What to do with a document that fails to parse, validate or shred.
     FailurePolicy on_error = FailurePolicy::kFailFast;
     /// Cap on formatted error strings kept in LoadReport::errors.
     std::size_t max_errors = 8;
-    /// Parser guards applied by load_texts (see LoadOptions::parse).
+    /// Parser guards (nesting depth, attribute and child fan-out, entity
+    /// expansion) applied by load_texts; a document over a limit is a
+    /// document-scoped parse failure, handled per `on_error`.
     xml::ParseOptions parse;
 };
 
@@ -91,11 +98,11 @@ private:
     Loader loader_;
     LoadStats stats_;
 
-    [[nodiscard]] std::int64_t next_doc_base() const;
-    [[nodiscard]] std::int64_t next_label_base() const;
-    LoadReport run(std::size_t count,
-                   const std::function<void(std::size_t, RowSink&, LoadStats&,
-                                            const LoadOptions&)>& shred_one,
+    /// Shred corpus document `i` under provisional doc id `doc_id`.
+    using ShredOne = std::function<void(std::size_t i, std::int64_t doc_id,
+                                        RowSink&, LoadStats&,
+                                        const LoadOptions&)>;
+    LoadReport run(std::size_t count, const ShredOne& shred_one,
                    const std::function<std::string(std::size_t)>& raw_text,
                    const BulkLoadOptions& options);
 };

@@ -5,7 +5,6 @@
 #include "common/fault.hpp"
 #include "common/strings.hpp"
 #include "rel/translate.hpp"
-#include "xml/parser.hpp"
 #include "xml/serializer.hpp"
 
 namespace xr::loader {
@@ -22,7 +21,7 @@ int col(const rel::TableSchema& t, std::string_view name) {
     return t.column_index(name);
 }
 
-/// Serial sink: rows go straight into table storage.
+/// Loader::load's sink: rows go straight into table storage.
 class DirectSink final : public RowSink {
 public:
     std::int64_t allocate_pk(rdb::Table& table) override {
@@ -120,23 +119,6 @@ void Loader::build_plans() {
     id_registry_ = db_.table(rel::kIdRegistryTable);
     text_segments_ = db_.table(rel::kTextSegmentsTable);
     overflow_ = db_.table(rel::kOverflowTable);
-
-    // Continue doc-id assignment where a recovered database left off —
-    // a Loader over a freshly open()ed data directory must not reuse ids
-    // already committed to xrel_docs.
-    if (const rdb::Table* docs = db_.table("xrel_docs")) {
-        int c = docs->def().column_index("doc");
-        int b = docs->def().column_index("label_base");
-        int s = docs->def().column_index("label_span");
-        for (rdb::RowId id = 0; id < docs->row_count(); ++id) {
-            auto row = docs->row(id);
-            if (c >= 0 && !row[c].is_null())
-                next_doc_ = std::max(next_doc_, row[c].as_integer() + 1);
-            if (b >= 0 && s >= 0 && !row[b].is_null() && !row[s].is_null())
-                next_label_ = std::max(
-                    next_label_, row[b].as_integer() + row[s].as_integer());
-        }
-    }
 
     // Reference plans, keyed later through entity plans.
     std::map<std::string, RefPlan*> ref_by_name;  // relationship name → plan
@@ -301,19 +283,42 @@ void Loader::build_plans() {
     }
 }
 
+Watermark next_watermark(const rdb::Database& db) {
+    Watermark next;
+    const rdb::Table* docs = db.table("xrel_docs");
+    if (docs == nullptr) return next;
+    const rdb::TableDef& def = docs->def();
+    int d = def.column_index("doc");
+    int b = def.column_index("label_base");
+    int s = def.column_index("label_span");
+    for (rdb::RowId id = 0; id < docs->row_count(); ++id) {
+        if (d >= 0) {
+            const Value& doc = docs->cell(id, static_cast<std::size_t>(d));
+            if (!doc.is_null())
+                next.doc = std::max(next.doc, doc.as_integer() + 1);
+        }
+        if (b >= 0 && s >= 0) {
+            const Value& base = docs->cell(id, static_cast<std::size_t>(b));
+            const Value& span = docs->cell(id, static_cast<std::size_t>(s));
+            if (!base.is_null() && !span.is_null())
+                next.label = std::max(next.label,
+                                      base.as_integer() + span.as_integer());
+        }
+    }
+    return next;
+}
+
 std::int64_t Loader::load(xml::Document& doc, const LoadOptions& options) {
     DirectSink sink;
-    std::int64_t saved_doc = next_doc_;
-    std::int64_t saved_label = next_label_;
     LoadStats doc_stats;
+    Watermark next = next_watermark(db_);
+    std::int64_t doc_id = std::max(next.doc, last_doc_ + 1);
     db_.begin_unit();
     try {
-        std::int64_t doc_id =
-            shred_document(doc, next_doc_++, options, sink, doc_stats,
-                           next_label_);
-        next_label_ += doc_stats.label_span;
+        shred_document(doc, doc_id, options, sink, doc_stats, next.label);
         if (options.resolve_references) resolve_references(doc_stats);
         db_.commit_unit();
+        last_doc_ = doc_id;
         // Lifetime stats absorb the document only once it committed;
         // unresolved_references stays a snapshot of the latest pass.
         std::size_t unresolved = doc_stats.unresolved_references;
@@ -323,148 +328,8 @@ std::int64_t Loader::load(xml::Document& doc, const LoadOptions& options) {
         return doc_id;
     } catch (...) {
         db_.rollback_unit();
-        next_doc_ = saved_doc;
-        next_label_ = saved_label;
         throw;
     }
-}
-
-LoadReport Loader::load_corpus(const std::vector<xml::Document*>& docs,
-                               const LoadOptions& options) {
-    return corpus_load(
-        docs.size(),
-        [&](std::size_t i, RowSink& sink, LoadStats& stats,
-            const LoadOptions& lopt) {
-            shred_document(*docs[i], next_doc_++, lopt, sink, stats,
-                           next_label_);
-            next_label_ += stats.label_span;
-        },
-        [&](std::size_t i) { return xml::serialize(*docs[i]); }, options);
-}
-
-LoadReport Loader::load_texts(const std::vector<std::string>& texts,
-                              const LoadOptions& options) {
-    return corpus_load(
-        texts.size(),
-        [&](std::size_t i, RowSink& sink, LoadStats& stats,
-            const LoadOptions& lopt) {
-            auto doc = xml::parse_document(texts[i], lopt.parse);
-            shred_document(*doc, next_doc_++, lopt, sink, stats, next_label_);
-            next_label_ += stats.label_span;
-        },
-        [&](std::size_t i) { return texts[i]; }, options);
-}
-
-LoadReport Loader::corpus_load(
-    std::size_t count,
-    const std::function<void(std::size_t, RowSink&, LoadStats&,
-                             const LoadOptions&)>& shred_one,
-    const std::function<std::string(std::size_t)>& raw_text,
-    const LoadOptions& options) {
-    LoadReport report;
-    report.policy = options.on_error;
-    report.attempted = count;
-    LoadOptions lopt = options;
-    lopt.resolve_references = false;  // one pass over the whole corpus
-
-    DirectSink sink;
-    std::int64_t corpus_doc_mark = next_doc_;
-    std::int64_t corpus_label_mark = next_label_;
-    db_.begin_unit();  // corpus unit: fail_fast (and any infrastructure
-                       // failure) restores the pre-load state exactly
-    try {
-        for (std::size_t i = 0; i < count; ++i) {
-            DocumentOutcome outcome;
-            outcome.index = i;
-            std::int64_t saved_doc = next_doc_;
-            std::int64_t saved_label = next_label_;
-            LoadStats doc_stats;
-            db_.begin_unit();  // document unit
-            try {
-                shred_one(i, sink, doc_stats, lopt);
-                db_.commit_unit();
-                report.stats.merge(doc_stats);
-                outcome.doc = next_doc_ - 1;
-                ++report.loaded;
-            } catch (...) {
-                // Roll the document back completely — rows, indexes, pk
-                // counters, its doc id and its label interval — before
-                // deciding what's next.  Returning the label watermark
-                // keeps intervals dense; even when later documents already
-                // claimed higher bases the resulting gap is harmless
-                // (disjoint ranges cannot fake containment).
-                db_.rollback_unit();
-                next_doc_ = saved_doc;
-                next_label_ = saved_label;
-                LoadErrorInfo info = classify_load_error();
-                outcome.status = options.on_error == FailurePolicy::kQuarantine
-                                     ? DocumentOutcome::Status::kQuarantined
-                                     : DocumentOutcome::Status::kFailed;
-                outcome.error_type = std::move(info.type);
-                outcome.error = std::move(info.message);
-                outcome.where = info.where;
-                outcome.retryable = info.retryable;
-                ++report.failed;
-                if (outcome.retryable) ++report.retryable;
-                if (report.errors.size() < options.max_errors)
-                    report.errors.push_back(format_outcome(outcome));
-                report.outcomes.push_back(std::move(outcome));
-                if (options.on_error == FailurePolicy::kFailFast) throw;
-                continue;
-            }
-            report.outcomes.push_back(std::move(outcome));
-        }
-        if (report.loaded == 0) {
-            // Nothing survived: make the load a no-op (no resolution pass
-            // over pre-existing data, doc counter restored).
-            db_.rollback_unit();
-            next_doc_ = corpus_doc_mark;
-            next_label_ = corpus_label_mark;
-        } else {
-            // Single resolution pass; a failure here is infrastructure-
-            // scoped and rolls back the whole corpus regardless of policy.
-            resolve_references(report.stats);
-            db_.commit_unit();
-        }
-    } catch (...) {
-        db_.rollback_unit();
-        next_doc_ = corpus_doc_mark;
-        next_label_ = corpus_label_mark;
-        throw;
-    }
-    // Lifetime stats: merged only once the corpus committed.  Unresolved
-    // references are a snapshot of the resolution pass, not a sum.
-    if (report.loaded > 0) {
-        std::size_t unresolved_snapshot = report.stats.unresolved_references;
-        stats_.merge(report.stats);
-        stats_.unresolved_references = unresolved_snapshot;
-    }
-
-    // Quarantine records survive only when the load itself commits.  They
-    // go through their own unit so the commit flushes them to the WAL —
-    // otherwise these depth-0 inserts would sit in the log buffer and a
-    // crash before the next load would silently drop them.
-    if (options.on_error == FailurePolicy::kQuarantine) {
-        bool any = false;
-        for (const auto& outcome : report.outcomes)
-            any |= outcome.status == DocumentOutcome::Status::kQuarantined;
-        if (any) {
-            db_.begin_unit();
-            try {
-                for (const auto& outcome : report.outcomes) {
-                    if (outcome.status != DocumentOutcome::Status::kQuarantined)
-                        continue;
-                    quarantine_document(db_, outcome, raw_text(outcome.index));
-                    ++report.quarantined;
-                }
-                db_.commit_unit();
-            } catch (...) {
-                db_.rollback_unit();
-                throw;
-            }
-        }
-    }
-    return report;
 }
 
 std::int64_t Loader::shred_document(xml::Document& doc, std::int64_t doc_id,

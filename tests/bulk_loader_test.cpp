@@ -1,5 +1,6 @@
 // Bulk-load pipeline: the parallel staged loader must be observationally
-// equivalent to the serial row-at-a-time loader — same row counts per
+// equivalent to a loop of Loader::load, the row-at-a-time reference
+// (DESIGN.md §6) — same row counts per
 // table, same ID registry contents, same reference-resolution stats and
 // byte-identical reconstructions — differing only in surrogate key values
 // (bulk reserves chunked per-worker pk ranges) and physical row order.
@@ -71,11 +72,23 @@ loader::LoadStats load_serial(test::Stack& stack,
     return stack.loader->stats();
 }
 
+/// Most rows in any one table that draws primary keys.
+std::size_t max_keyed_rows(const rdb::Database& db) {
+    std::size_t out = 0;
+    for (const auto& name : db.table_names()) {
+        const rdb::Table& t = db.require(name);
+        if (t.def().column_index("pk") >= 0)
+            out = std::max(out, t.row_count());
+    }
+    return out;
+}
+
 TEST(BulkLoader, EquivalentToSerialOnGeneratedCorpus) {
     // Two independently generated (same seed ⇒ identical) corpora so each
     // pipeline validates and annotates its own documents.
-    auto serial_docs = gen::bibliography_corpus(12, 150);
-    auto bulk_docs = gen::bibliography_corpus(12, 150);
+    constexpr std::int64_t kDocs = 64;
+    auto serial_docs = gen::bibliography_corpus(kDocs, 400);
+    auto bulk_docs = gen::bibliography_corpus(kDocs, 400);
 
     test::Stack serial(gen::paper_dtd());
     loader::LoadStats serial_stats = load_serial(serial, serial_docs);
@@ -86,12 +99,15 @@ TEST(BulkLoader, EquivalentToSerialOnGeneratedCorpus) {
     loader::BulkLoadOptions options;
     options.jobs = 4;
     options.validate = true;
-    options.pk_chunk = 16;  // force several range refills per worker
     std::vector<xml::Document*> views;
     for (auto& d : bulk_docs) views.push_back(d.get());
     loader::LoadStats bulk_stats = bulk_loader.load_corpus(views, options).stats;
 
-    EXPECT_EQ(bulk_stats.documents, 12u);
+    // Some table holds more rows than the workers' first key ranges, so
+    // at least one worker staged past its range and refilled it.
+    EXPECT_GT(max_keyed_rows(bulk.db),
+              options.jobs * static_cast<std::size_t>(loader::kPkChunk));
+    EXPECT_EQ(bulk_stats.documents, static_cast<std::size_t>(kDocs));
     EXPECT_GT(bulk_stats.resolved_references, 0u);
     expect_stats_equal(serial_stats, bulk_stats);
     expect_row_counts_equal(serial.db, bulk.db);
@@ -101,7 +117,7 @@ TEST(BulkLoader, EquivalentToSerialOnGeneratedCorpus) {
     // must rebuild byte-identical documents for every doc id.
     loader::Reconstructor rs(serial.mapping, serial.schema, serial.db);
     loader::Reconstructor rb(bulk.mapping, bulk.schema, bulk.db);
-    for (std::int64_t doc = 1; doc <= 12; ++doc) {
+    for (std::int64_t doc = 1; doc <= kDocs; ++doc) {
         EXPECT_EQ(xml::serialize(*rs.reconstruct(doc)),
                   xml::serialize(*rb.reconstruct(doc)))
             << "doc " << doc;
@@ -175,7 +191,7 @@ TEST(BulkLoader, SingleWorkerMatchesMultiWorker) {
 }
 
 TEST(BulkLoader, AppendsToAlreadyLoadedDatabase) {
-    // Serial load, then a bulk load on top: doc ids continue past the
+    // Loader::load, then a bulk load on top: doc ids continue past the
     // existing maximum and previously loaded data is untouched.
     auto first = xml::parse_document(gen::paper_sample_document());
     test::Stack stack(gen::paper_dtd());
@@ -199,6 +215,47 @@ TEST(BulkLoader, AppendsToAlreadyLoadedDatabase) {
     loader::Reconstructor r(stack.mapping, stack.schema, stack.db);
     auto roundtrip = r.reconstruct(1);
     EXPECT_EQ(roundtrip->root()->name(), "article");
+}
+
+TEST(BulkLoader, LoaderBuiltBeforeBulkLoadContinuesPastIt) {
+    // The reverse order, through one Stack: its Loader is built on the
+    // empty database, a bulk load then commits two documents, and only
+    // then does Loader::load run.  It must take doc id 3 and a label
+    // interval past both bulk-loaded ones — exactly what loading all three
+    // documents one at a time gives.
+    auto docs = gen::bibliography_corpus(3, 60);
+    test::Stack stack(gen::paper_dtd());
+    loader::BulkLoader bl(stack.logical, stack.mapping, stack.schema, stack.db);
+    ASSERT_TRUE(bl.load_corpus({docs[0].get(), docs[1].get()},
+                               test::one_worker())
+                    .ok());
+    EXPECT_EQ(stack.loader->load(*docs[2]), 3);
+
+    const rdb::Table& reg = stack.db.require("xrel_docs");
+    int doc_col = reg.def().column_index("doc");
+    int base_col = reg.def().column_index("label_base");
+    int span_col = reg.def().column_index("label_span");
+    std::map<std::int64_t, std::pair<std::int64_t, std::int64_t>> by_doc;
+    for (rdb::RowId id = 0; id < reg.row_count(); ++id) {
+        auto row = reg.row(id);
+        EXPECT_TRUE(by_doc.emplace(row[doc_col].as_integer(),
+                                   std::pair{row[base_col].as_integer(),
+                                             row[span_col].as_integer()})
+                        .second)
+            << "doc id " << row[doc_col].as_integer() << " assigned twice";
+    }
+    ASSERT_EQ(by_doc.size(), 3u);
+    std::int64_t label_end = 0;
+    for (const auto& [doc, interval] : by_doc) {
+        EXPECT_GE(interval.first, label_end) << "doc " << doc;
+        label_end = interval.first + interval.second;
+    }
+
+    auto again = gen::bibliography_corpus(3, 60);
+    test::Stack reference(gen::paper_dtd());
+    for (auto& d : again) reference.loader->load(*d);
+    EXPECT_EQ(test::db_fingerprint(stack.db),
+              test::db_fingerprint(reference.db));
 }
 
 TEST(BulkLoader, FailedDocumentLeavesDatabaseUntouched) {

@@ -1,6 +1,6 @@
-// Crash matrix (DESIGN.md §8): every durability fault point × {serial,
-// bulk jobs=4}, asserting the two recovery invariants the WAL design
-// promises:
+// Crash matrix (DESIGN.md §8): every durability fault point × {per-document
+// Loader::load, bulk jobs=1, bulk jobs=4}, asserting the two recovery
+// invariants the WAL design promises:
 //
 //   1. no silent data loss — everything the loader reported committed is
 //      there again after reopening the data directory;
@@ -50,7 +50,7 @@ std::vector<std::string> corpus(int n) {
     return out;
 }
 
-/// WAL appends one serial document costs (unit frames + row records);
+/// WAL appends one Loader::load costs (unit frames + row records);
 /// probed once so wal.append countdowns land mid-document instead of
 /// guessing at the mapping's row fan-out.
 long appends_per_doc() {
@@ -67,14 +67,15 @@ long appends_per_doc() {
     return per;
 }
 
-/// Points that can interrupt a serial durable load, with countdowns that
-/// land strictly inside the corpus (after some work is already staged).
+/// Points that can interrupt a run of durable Loader::load calls, with
+/// countdowns that land strictly inside the run (after some documents
+/// already committed).
 struct CrashPoint {
     const char* point;
     long countdown;
 };
 
-std::vector<CrashPoint> serial_points() {
+std::vector<CrashPoint> per_document_points() {
     return {
         {"xml.parse", 2},
         {"loader.shred", 8},
@@ -100,23 +101,33 @@ std::vector<CrashPoint> bulk_points() {
 
 // -- in-process matrix -------------------------------------------------------
 
-TEST(CrashMatrix, SerialFaultsRecoverToPostRollbackState) {
-    for (const auto& p : serial_points()) {
+TEST(CrashMatrix, PerDocumentFaultsRecoverToPostRollbackState) {
+    // Loader::load is the durable write path of a single document: each
+    // call commits (and fsyncs) its own unit.  A fault rolls back only the
+    // document in flight, so the state to recover is everything committed
+    // before it.
+    for (const auto& p : per_document_points()) {
         test::TempDir dir;
         std::vector<std::string> after_rollback;
         {
             test::DurableStack stack(gen::paper_dtd(), dir.path());
-            ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
-            auto committed = test::db_fingerprint(stack.db);
+            for (int i = 0; i < 2; ++i) {
+                auto doc = xml::parse_document(article(i));
+                stack.loader->load(*doc);
+            }
+            std::vector<std::string> committed;
+            auto load_rest = [&] {
+                for (int i = 2; i < 5; ++i) {
+                    committed = test::db_fingerprint(stack.db);
+                    auto doc = xml::parse_document(article(i));
+                    stack.loader->load(*doc);
+                }
+            };
             ArmedFault armed(p.point, p.countdown);
-            EXPECT_THROW(
-                stack.loader->load_texts({article(2), article(3), article(4)},
-                                         {}),
-                fault::InjectedFault)
-                << p.point;
+            EXPECT_THROW(load_rest(), fault::InjectedFault) << p.point;
             fault::disarm();
             after_rollback = test::db_fingerprint(stack.db);
-            // Fail-fast: the rollback restored the committed baseline.
+            // The rollback restored the state before the failing document.
             EXPECT_EQ(after_rollback, committed) << p.point;
         }
         test::DurableStack recovered(gen::paper_dtd(), dir.path());
@@ -125,32 +136,30 @@ TEST(CrashMatrix, SerialFaultsRecoverToPostRollbackState) {
     }
 }
 
-TEST(CrashMatrix, SerialSkipPolicyCommitsSurvivorsDurably) {
+TEST(CrashMatrix, SkipPolicyCommitsSurvivorsDurably) {
     // The fault consumes one document; the others commit and must be on
-    // disk.  wal.append is the interesting point: the failure happens in
-    // the logging itself, mid-unit, and the unit's rollback must keep
-    // memory and log agreed.
-    for (const auto& p :
-         {CrashPoint{"loader.shred", 8},
-          CrashPoint{"wal.append", appends_per_doc() + appends_per_doc() / 2}}) {
+    // disk.
+    for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
         test::TempDir dir;
         std::vector<std::string> in_memory;
         std::size_t loaded = 0;
         {
             test::DurableStack stack(gen::paper_dtd(), dir.path());
-            loader::LoadOptions options;
-            options.on_error = loader::FailurePolicy::kSkip;
-            ArmedFault armed(p.point, p.countdown);
+            loader::BulkLoadOptions options =
+                test::one_worker(loader::FailurePolicy::kSkip);
+            options.jobs = jobs;
+            ArmedFault armed("loader.shred", 8);
             loader::LoadReport report =
-                stack.loader->load_texts(corpus(4), options);
+                test::load_texts(stack, corpus(4), options);
             fault::disarm();
-            EXPECT_EQ(report.failed, 1u) << p.point;
+            EXPECT_EQ(report.failed, 1u) << "jobs " << jobs;
             loaded = report.loaded;
             in_memory = test::db_fingerprint(stack.db);
         }
-        ASSERT_EQ(loaded, 3u) << p.point;
+        ASSERT_EQ(loaded, 3u) << "jobs " << jobs;
         test::DurableStack recovered(gen::paper_dtd(), dir.path());
-        EXPECT_EQ(test::db_fingerprint(recovered.db), in_memory) << p.point;
+        EXPECT_EQ(test::db_fingerprint(recovered.db), in_memory)
+            << "jobs " << jobs;
     }
 }
 

@@ -115,7 +115,7 @@ TEST(Durability, WalOnlyRecoveryRestoresCommittedLoad) {
     std::vector<std::string> expected;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        loader::LoadReport report = stack.loader->load_texts(corpus(3), {});
+        loader::LoadReport report = test::load_texts(stack, corpus(3));
         ASSERT_TRUE(report.ok());
         expected = test::db_fingerprint(stack.db);
     }
@@ -143,7 +143,7 @@ TEST(Durability, SnapshotOnlyRecovery) {
         rdb::DurabilityOptions opts;
         opts.use_wal = false;
         test::DurableStack stack(gen::paper_dtd(), dir.path(), opts);
-        ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
         stack.db.checkpoint();
         expected = test::db_fingerprint(stack.db);
     }
@@ -160,9 +160,9 @@ TEST(Durability, SnapshotPlusWalReplayRecovery) {
     std::vector<std::string> expected;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
         stack.db.checkpoint();
-        ASSERT_TRUE(stack.loader->load_texts({article(2), article(3)}, {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, {article(2), article(3)}).ok());
         expected = test::db_fingerprint(stack.db);
     }
     test::DurableStack reopened(gen::paper_dtd(), dir.path());
@@ -178,7 +178,7 @@ TEST(Durability, SnapshotPlusWalReplayRecovery) {
 TEST(Durability, SnapshotRoundTripPreservesEverything) {
     test::TempDir dir;
     test::Stack stack(gen::paper_dtd());
-    ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+    ASSERT_TRUE(test::load_texts(stack, corpus(3)).ok());
     std::string path = rdb::snapshot_file(dir.path(), 1);
     rdb::SnapshotStats written = rdb::write_snapshot(stack.db, path);
     EXPECT_EQ(written.rows, stack.db.total_rows());
@@ -209,11 +209,11 @@ TEST(Durability, CorruptNewestSnapshotFallsBackToOlder) {
     std::vector<std::string> expected;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
         stack.db.checkpoint();  // snapshot-1 / wal-1
-        ASSERT_TRUE(stack.loader->load_texts({article(2)}, {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, {article(2)}).ok());
         stack.db.checkpoint();  // snapshot-2 / wal-2
-        ASSERT_TRUE(stack.loader->load_texts({article(3)}, {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, {article(3)}).ok());
         expected = test::db_fingerprint(stack.db);
     }
     std::string snap2 = rdb::snapshot_file(dir.path(), 2);
@@ -233,7 +233,7 @@ TEST(Durability, CorruptOnlySnapshotWithoutWalIsPreciseError) {
         rdb::DurabilityOptions opts;
         opts.use_wal = false;
         test::DurableStack stack(gen::paper_dtd(), dir.path(), opts);
-        ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
         stack.db.checkpoint();
     }
     std::string snap = rdb::snapshot_file(dir.path(), 1);
@@ -254,7 +254,7 @@ TEST(Durability, CorruptOnlySnapshotWithoutWalIsPreciseError) {
 TEST(Durability, ReadSnapshotReportsCrcMismatch) {
     test::TempDir dir;
     test::Stack stack(gen::paper_dtd());
-    ASSERT_TRUE(stack.loader->load_texts(corpus(1), {}).ok());
+    ASSERT_TRUE(test::load_texts(stack, corpus(1)).ok());
     std::string path = rdb::snapshot_file(dir.path(), 1);
     rdb::write_snapshot(stack.db, path);
     flip_byte_at(path, fs::file_size(path) / 2);
@@ -274,7 +274,7 @@ TEST(Durability, ReadSnapshotReportsCrcMismatch) {
 TEST(Durability, TruncatedSnapshotIsRejected) {
     test::TempDir dir;
     test::Stack stack(gen::paper_dtd());
-    ASSERT_TRUE(stack.loader->load_texts(corpus(1), {}).ok());
+    ASSERT_TRUE(test::load_texts(stack, corpus(1)).ok());
     std::string path = rdb::snapshot_file(dir.path(), 1);
     rdb::write_snapshot(stack.db, path);
     fs::resize_file(path, fs::file_size(path) - 5);  // cut into the end marker
@@ -287,7 +287,7 @@ TEST(Durability, TornWalTailIsTruncatedAndReported) {
     std::vector<std::string> expected;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
         expected = test::db_fingerprint(stack.db);
     }
     std::string wal = rdb::wal_file(dir.path(), 0);
@@ -306,7 +306,7 @@ TEST(Durability, ValidHeaderTruncatedPayloadIsATornTail) {
     std::vector<std::string> expected;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
         expected = test::db_fingerprint(stack.db);
     }
     // A plausible insert record header claiming a 1000-byte payload,
@@ -330,9 +330,9 @@ TEST(Durability, TornTailInOlderSegmentBreaksTheChain) {
     test::TempDir dir;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
         stack.db.checkpoint();  // snapshot-1 / wal-1
-        ASSERT_TRUE(stack.loader->load_texts({article(2)}, {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, {article(2)}).ok());
     }
     // Force recovery back onto snapshot-0-era replay: corrupt snapshot-1
     // AND tear wal-0, which is now mid-chain.
@@ -405,7 +405,7 @@ TEST(Durability, RecoveryReplayFaultPropagates) {
     test::TempDir dir;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(1), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(1)).ok());
     }
     rdb::Database db;
     ArmedFault armed("recovery.replay", 3);
@@ -433,7 +433,7 @@ TEST(Durability, CheckpointRequiresOpenDataDir) {
 TEST(Durability, CheckpointTimesEachPhase) {
     test::TempDir dir;
     test::DurableStack stack(gen::paper_dtd(), dir.path());
-    ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+    ASSERT_TRUE(test::load_texts(stack, corpus(3)).ok());
     auto t0 = std::chrono::steady_clock::now();
     rdb::SnapshotStats stats = stack.db.checkpoint();
     double wall_ms = std::chrono::duration<double, std::milli>(
@@ -455,7 +455,7 @@ TEST(Durability, SnapshotFaultsLeaveOldChainAuthoritative) {
         std::vector<std::string> expected;
         {
             test::DurableStack stack(gen::paper_dtd(), dir.path());
-            ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
+            ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
             expected = test::db_fingerprint(stack.db);
             ArmedFault armed(point);
             EXPECT_THROW(stack.db.checkpoint(), fault::InjectedFault) << point;
@@ -465,7 +465,7 @@ TEST(Durability, SnapshotFaultsLeaveOldChainAuthoritative) {
             EXPECT_FALSE(fs::exists(rdb::snapshot_file(dir.path(), 1) + ".tmp"))
                 << point;
             // The database keeps working after the failed checkpoint.
-            ASSERT_TRUE(stack.loader->load_texts({article(2)}, {}).ok());
+            ASSERT_TRUE(test::load_texts(stack, {article(2)}).ok());
             expected = test::db_fingerprint(stack.db);
         }
         test::DurableStack reopened(gen::paper_dtd(), dir.path());
@@ -551,7 +551,7 @@ TEST(Durability, DocIdsResumeAfterReopen) {
     test::TempDir dir;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
     }
     test::DurableStack reopened(gen::paper_dtd(), dir.path());
     auto doc = xml::parse_document(article(2));
@@ -564,14 +564,14 @@ TEST(Durability, ReopenedDatabaseEqualsContinuousLoad) {
     test::TempDir dir;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
     }
     test::DurableStack reopened(gen::paper_dtd(), dir.path());
     ASSERT_TRUE(
-        reopened.loader->load_texts({article(2), article(3)}, {}).ok());
+        test::load_texts(reopened, {article(2), article(3)}).ok());
 
     test::Stack reference(gen::paper_dtd());
-    ASSERT_TRUE(reference.loader->load_texts(corpus(4), {}).ok());
+    ASSERT_TRUE(test::load_texts(reference, corpus(4)).ok());
     EXPECT_EQ(test::db_fingerprint(reopened.db),
               test::db_fingerprint(reference.db));
 }

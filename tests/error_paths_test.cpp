@@ -139,20 +139,22 @@ TEST(LoaderErrors, MidDocumentFailureRollsBackPartialRows) {
 
 TEST(LoaderErrors, FailFastCorpusLoadIsAtomic) {
     Stack stack(gen::paper_dtd());
+    loader::BulkLoader bulk(stack.logical, stack.mapping, stack.schema,
+                            stack.db);
     auto before = test::db_fingerprint(stack.db);
-    loader::LoadOptions options;  // on_error defaults to kFailFast
-    EXPECT_THROW(stack.loader->load_texts(mixed_corpus(), options), Error);
+    EXPECT_THROW(bulk.load_texts(mixed_corpus(), test::one_worker()), Error);
     EXPECT_EQ(test::db_fingerprint(stack.db), before);
-    EXPECT_EQ(stack.loader->stats().documents, 0u);
+    EXPECT_EQ(bulk.stats().documents, 0u);
 }
 
 TEST(LoaderErrors, SkipPolicyMatchesGoodOnlyLoadByteForByte) {
     std::vector<std::string> corpus = mixed_corpus();
 
     Stack mixed(gen::paper_dtd());
-    loader::LoadOptions options;
-    options.on_error = loader::FailurePolicy::kSkip;
-    loader::LoadReport report = mixed.loader->load_texts(corpus, options);
+    loader::BulkLoader mixed_loader(mixed.logical, mixed.mapping,
+                                    mixed.schema, mixed.db);
+    loader::LoadReport report = mixed_loader.load_texts(
+        corpus, test::one_worker(loader::FailurePolicy::kSkip));
     EXPECT_EQ(report.attempted, 5u);
     EXPECT_EQ(report.loaded, 2u);
     EXPECT_EQ(report.failed, 3u);
@@ -167,24 +169,25 @@ TEST(LoaderErrors, SkipPolicyMatchesGoodOnlyLoadByteForByte) {
     EXPECT_EQ(report.errors.size(), 3u);
 
     Stack good(gen::paper_dtd());
+    loader::BulkLoader good_loader(good.logical, good.mapping, good.schema,
+                                   good.db);
     loader::LoadReport good_report =
-        good.loader->load_texts(good_only(corpus, {0, 3}), {});
+        good_loader.load_texts(good_only(corpus, {0, 3}), test::one_worker());
     EXPECT_TRUE(good_report.ok());
     EXPECT_EQ(test::db_fingerprint(mixed.db), test::db_fingerprint(good.db));
 
     // The rejected documents left no trace in the loader either: stats
     // match a loader that never saw them.
-    EXPECT_EQ(mixed.loader->stats().documents, 2u);
-    EXPECT_EQ(mixed.loader->stats().elements_visited,
-              good.loader->stats().elements_visited);
+    EXPECT_EQ(mixed_loader.stats().documents, 2u);
+    EXPECT_EQ(mixed_loader.stats().elements_visited,
+              good_loader.stats().elements_visited);
 }
 
 TEST(LoaderErrors, QuarantinePolicyRecordsRejectedDocuments) {
     std::vector<std::string> corpus = mixed_corpus();
     Stack stack(gen::paper_dtd());
-    loader::LoadOptions options;
-    options.on_error = loader::FailurePolicy::kQuarantine;
-    loader::LoadReport report = stack.loader->load_texts(corpus, options);
+    loader::LoadReport report = test::load_texts(
+        stack, corpus, test::one_worker(loader::FailurePolicy::kQuarantine));
     EXPECT_EQ(report.loaded, 2u);
     EXPECT_EQ(report.quarantined, 3u);
 
@@ -202,7 +205,7 @@ TEST(LoaderErrors, QuarantinePolicyRecordsRejectedDocuments) {
 
     // Everything except the quarantine table matches the good-only load.
     Stack good(gen::paper_dtd());
-    good.loader->load_texts(good_only(corpus, {0, 3}), {});
+    test::load_texts(good, good_only(corpus, {0, 3}));
     std::vector<std::string> data_rows;
     for (const auto& line : test::db_fingerprint(stack.db))
         if (line.rfind(loader::kQuarantineTable, 0) != 0)
@@ -214,9 +217,8 @@ TEST(LoaderErrors, AllFailingCorpusIsANoOp) {
     Stack stack(gen::paper_dtd());
     auto before = test::db_fingerprint(stack.db);
     std::vector<std::string> corpus = {mixed_corpus()[1], mixed_corpus()[2]};
-    loader::LoadOptions options;
-    options.on_error = loader::FailurePolicy::kSkip;
-    loader::LoadReport report = stack.loader->load_texts(corpus, options);
+    loader::LoadReport report = test::load_texts(
+        stack, corpus, test::one_worker(loader::FailurePolicy::kSkip));
     EXPECT_EQ(report.loaded, 0u);
     EXPECT_EQ(report.failed, 2u);
     EXPECT_EQ(test::db_fingerprint(stack.db), before);

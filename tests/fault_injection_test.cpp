@@ -104,18 +104,16 @@ TEST(FaultInjection, KnownPointsCatalogueIsSortedAndArmable) {
 
 TEST(FaultInjection, InjectedFaultIsClassifiedRetryable) {
     test::Stack stack(gen::paper_dtd());
-    loader::LoadOptions options;
-    options.on_error = loader::FailurePolicy::kSkip;
     ArmedFault armed("loader.shred");
-    loader::LoadReport report =
-        stack.loader->load_texts({article(0)}, options);
+    loader::LoadReport report = test::load_texts(
+        stack, {article(0)}, test::one_worker(loader::FailurePolicy::kSkip));
     ASSERT_EQ(report.failed, 1u);
     EXPECT_EQ(report.retryable, 1u);
     EXPECT_EQ(report.outcomes[0].error_type, "fault");
     EXPECT_TRUE(report.outcomes[0].retryable);
 }
 
-// -- serial loader matrix ----------------------------------------------------
+// -- one-worker matrix -------------------------------------------------------
 
 /// loader.shred hits per article(): fires once per load_element call, and
 /// how many of the article's elements get their own call depends on the
@@ -124,7 +122,7 @@ long shred_hits_per_doc() {
     static long hits = [] {
         test::Stack probe(gen::paper_dtd());
         fault::arm("loader.shred", 1 << 30);  // count without firing
-        probe.loader->load_texts({article(0)}, {});
+        test::load_texts(probe, {article(0)});
         long h = fault::hits();
         fault::disarm();
         return h;
@@ -132,16 +130,16 @@ long shred_hits_per_doc() {
     return hits;
 }
 
-struct SerialPoint {
+struct DocPoint {
     const char* point;
     long countdown;
     std::size_t failing_index;
 };
 
-/// Countdowns landing inside document 1: the other documents survive.
-/// The shred countdown deliberately lands mid-document, after some of
-/// document 1's rows are already written.
-std::vector<SerialPoint> serial_doc_points() {
+/// Countdowns landing inside document 1 of a one-worker load: the other
+/// documents survive.  The shred countdown deliberately lands
+/// mid-document, after some of document 1's rows are already staged.
+std::vector<DocPoint> doc_points() {
     long per_doc = shred_hits_per_doc();
     return {
         {"xml.parse", 2, 1},  // parse of document 1
@@ -149,49 +147,55 @@ std::vector<SerialPoint> serial_doc_points() {
     };
 }
 
-TEST(FaultInjection, SerialFailFastLeavesDatabaseUntouched) {
-    for (const auto& p : serial_doc_points()) {
+TEST(FaultInjection, OneWorkerFailFastLeavesDatabaseUntouched) {
+    for (const auto& p : doc_points()) {
         test::Stack stack(gen::paper_dtd());
+        loader::BulkLoader bl(stack.logical, stack.mapping, stack.schema,
+                              stack.db);
         auto before = test::db_fingerprint(stack.db);
         ArmedFault armed(p.point, p.countdown);
-        EXPECT_THROW(stack.loader->load_texts(corpus(5), {}),
+        EXPECT_THROW(bl.load_texts(corpus(5), test::one_worker()),
                      fault::InjectedFault)
             << p.point;
         EXPECT_TRUE(fault::fired()) << p.point;
         EXPECT_EQ(test::db_fingerprint(stack.db), before) << p.point;
-        EXPECT_EQ(stack.loader->stats().documents, 0u);
+        EXPECT_EQ(bl.stats().documents, 0u);
     }
 }
 
-TEST(FaultInjection, SerialSkipMatchesGoodOnlyLoadByteForByte) {
-    for (const auto& p : serial_doc_points()) {
+TEST(FaultInjection, OneWorkerSkipMatchesLoadLoopByteForByte) {
+    // The reference is Loader::load over the good documents, one durable
+    // unit each: one worker must reproduce it cell for cell, surrogate
+    // keys and doc ids included, with every reserved key handed back.
+    for (const auto& p : doc_points()) {
         test::Stack stack(gen::paper_dtd());
-        loader::LoadOptions options;
-        options.on_error = loader::FailurePolicy::kSkip;
         ArmedFault armed(p.point, p.countdown);
-        loader::LoadReport report =
-            stack.loader->load_texts(corpus(5), options);
+        loader::LoadReport report = test::load_texts(
+            stack, corpus(5), test::one_worker(loader::FailurePolicy::kSkip));
         fault::disarm();
         EXPECT_EQ(report.loaded, 4u) << p.point;
         ASSERT_EQ(report.failed, 1u) << p.point;
         EXPECT_EQ(report.outcomes[p.failing_index].error_type, "fault");
+        EXPECT_EQ(report.leaked_pks, 0u) << p.point;
 
         std::vector<std::string> good = corpus(5);
         good.erase(good.begin() + static_cast<std::ptrdiff_t>(p.failing_index));
         test::Stack reference(gen::paper_dtd());
-        reference.loader->load_texts(good, {});
+        for (const auto& text : good) {
+            auto doc = xml::parse_document(text);
+            reference.loader->load(*doc);
+        }
         EXPECT_EQ(test::db_fingerprint(stack.db),
                   test::db_fingerprint(reference.db))
             << p.point;
     }
 }
 
-TEST(FaultInjection, SerialQuarantineKeepsFaultedDocumentText) {
+TEST(FaultInjection, OneWorkerQuarantineKeepsFaultedDocumentText) {
     test::Stack stack(gen::paper_dtd());
-    loader::LoadOptions options;
-    options.on_error = loader::FailurePolicy::kQuarantine;
     ArmedFault armed("loader.shred", shred_hits_per_doc() + 1);
-    loader::LoadReport report = stack.loader->load_texts(corpus(3), options);
+    loader::LoadReport report = test::load_texts(
+        stack, corpus(3), test::one_worker(loader::FailurePolicy::kQuarantine));
     fault::disarm();
     EXPECT_EQ(report.quarantined, 1u);
     const rdb::Table* q = stack.db.table(loader::kQuarantineTable);
@@ -211,11 +215,10 @@ TEST(FaultInjection, QuarantineRowsSurviveRestart) {
     test::TempDir dir;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        loader::LoadOptions options;
-        options.on_error = loader::FailurePolicy::kQuarantine;
         ArmedFault armed("loader.shred", shred_hits_per_doc() + 1);
-        loader::LoadReport report =
-            stack.loader->load_texts(corpus(3), options);
+        loader::LoadReport report = test::load_texts(
+            stack, corpus(3),
+            test::one_worker(loader::FailurePolicy::kQuarantine));
         fault::disarm();
         ASSERT_EQ(report.quarantined, 1u);
     }
@@ -230,25 +233,6 @@ TEST(FaultInjection, QuarantineRowsSurviveRestart) {
                   "fault");
         // Second pass reopens from a snapshot instead of pure WAL replay.
         if (!checkpoint) reopened.db.checkpoint();
-    }
-}
-
-TEST(FaultInjection, SerialResolveFaultRollsBackWholeCorpus) {
-    // Reference resolution is corpus-scoped: a fault there aborts the
-    // load under every policy, undoing the in-place row updates the
-    // resolver already made.
-    for (auto policy : {loader::FailurePolicy::kFailFast,
-                        loader::FailurePolicy::kSkip,
-                        loader::FailurePolicy::kQuarantine}) {
-        test::Stack stack(gen::paper_dtd());
-        auto before = test::db_fingerprint(stack.db);
-        loader::LoadOptions options;
-        options.on_error = policy;
-        ArmedFault armed("loader.resolve", 2);  // after one row resolved
-        EXPECT_THROW(stack.loader->load_texts(corpus(4), options),
-                     fault::InjectedFault);
-        fault::disarm();
-        EXPECT_EQ(test::db_fingerprint(stack.db), before);
     }
 }
 
@@ -349,23 +333,29 @@ TEST(FaultInjection, BulkSkipMatchesLoadingOnlySurvivors) {
 }
 
 TEST(FaultInjection, BulkCorpusScopedFaultsAbortUnderEveryPolicy) {
+    // Merge, index rebuild and reference resolution are corpus-scoped: a
+    // fault there aborts the load under every policy, undoing the
+    // in-place row updates the resolver already made.
     for (const char* point :
          {"bulk.merge", "rdb.index_rebuild", "loader.resolve"}) {
         for (auto policy : {loader::FailurePolicy::kSkip,
                             loader::FailurePolicy::kQuarantine}) {
-            test::Stack stack(gen::paper_dtd());
-            loader::BulkLoader bl(stack.logical, stack.mapping, stack.schema,
-                                  stack.db);
-            auto before = test::db_fingerprint(stack.db);
-            loader::BulkLoadOptions options;
-            options.jobs = 4;
-            options.on_error = policy;
-            ArmedFault armed(point, 2);
-            EXPECT_THROW(bl.load_texts(corpus(6), options),
-                         fault::InjectedFault)
-                << point;
-            fault::disarm();
-            EXPECT_EQ(test::db_fingerprint(stack.db), before) << point;
+            for (std::size_t jobs : {std::size_t{1}, std::size_t{4}}) {
+                test::Stack stack(gen::paper_dtd());
+                loader::BulkLoader bl(stack.logical, stack.mapping,
+                                      stack.schema, stack.db);
+                auto before = test::db_fingerprint(stack.db);
+                loader::BulkLoadOptions options;
+                options.jobs = jobs;
+                options.on_error = policy;
+                ArmedFault armed(point, 2);
+                EXPECT_THROW(bl.load_texts(corpus(6), options),
+                             fault::InjectedFault)
+                    << point << " jobs " << jobs;
+                fault::disarm();
+                EXPECT_EQ(test::db_fingerprint(stack.db), before)
+                    << point << " jobs " << jobs;
+            }
         }
     }
 }

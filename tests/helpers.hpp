@@ -11,6 +11,7 @@
 
 #include "dtd/parser.hpp"
 #include "gen/corpora.hpp"
+#include "loader/bulk_loader.hpp"
 #include "loader/loader.hpp"
 #include "mapping/pipeline.hpp"
 #include "rel/materialize.hpp"
@@ -104,6 +105,27 @@ struct DurableStack {
         loader = std::make_unique<loader::Loader>(logical, mapping, schema, db);
     }
 };
+
+/// The corpus driver's options for `xmlrel_cli load`'s default: one
+/// worker, validating.
+inline loader::BulkLoadOptions one_worker(
+    loader::FailurePolicy on_error = loader::FailurePolicy::kFailFast) {
+    loader::BulkLoadOptions options;
+    options.jobs = 1;
+    options.validate = true;
+    options.on_error = on_error;
+    return options;
+}
+
+/// Load `texts` into a Stack or DurableStack through BulkLoader.
+template <typename S>
+loader::LoadReport load_texts(S& stack, const std::vector<std::string>& texts,
+                              const loader::BulkLoadOptions& options =
+                                  one_worker()) {
+    loader::BulkLoader bulk(stack.logical, stack.mapping, stack.schema,
+                            stack.db);
+    return bulk.load_texts(texts, options);
+}
 
 /// Every cell of every table in physical order — the byte-identical
 /// database comparison the atomicity tests rely on.  Restored pk counters

@@ -152,7 +152,7 @@ TEST(Integrity, CorruptionErrorCarriesContext) {
 
 TEST(Integrity, VerifyCleanOnLoadedCorpus) {
     test::Stack stack(gen::paper_dtd());
-    ASSERT_TRUE(stack.loader->load_texts(corpus(5), {}).ok());
+    ASSERT_TRUE(test::load_texts(stack, corpus(5)).ok());
     rdb::IntegrityReport report = stack.db.verify();
     EXPECT_TRUE(report.clean()) << report.to_string();
     EXPECT_EQ(report.docs_checked, 5u);
@@ -171,7 +171,7 @@ TEST(Integrity, VerifyCleanAfterRecovery) {
     test::TempDir dir;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(3)).ok());
     }
     test::DurableStack reopened(gen::paper_dtd(), dir.path());
     rdb::IntegrityReport report = reopened.db.verify();
@@ -203,7 +203,7 @@ TEST(Integrity, VerifyRunsConcurrentlyWithWriters) {
 
 TEST(Integrity, VerifyFlagsOrphanedDocRows) {
     test::Stack stack(gen::paper_dtd());
-    ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
+    ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
     // Deregister the first document while its rows stay behind.
     rdb::Table* docs = stack.db.table("xrel_docs");
     ASSERT_NE(docs, nullptr);
@@ -220,7 +220,7 @@ TEST(Integrity, VerifyFlagsOrphanedDocRows) {
 
 TEST(Integrity, VerifyFlagsBrokenLabelCoverage) {
     test::Stack stack(gen::paper_dtd());
-    ASSERT_TRUE(stack.loader->load_texts(corpus(1), {}).ok());
+    ASSERT_TRUE(test::load_texts(stack, corpus(1)).ok());
     // Push one row's pre label outside the document's registered range.
     bool damaged = false;
     for (const auto& name : stack.db.table_names()) {
@@ -244,7 +244,7 @@ TEST(Integrity, VerifyFlagsBrokenLabelCoverage) {
 
 TEST(Integrity, VerifyFlagsDuplicateDocRegistration) {
     test::Stack stack(gen::paper_dtd());
-    ASSERT_TRUE(stack.loader->load_texts(corpus(1), {}).ok());
+    ASSERT_TRUE(test::load_texts(stack, corpus(1)).ok());
     rdb::Table* docs = stack.db.table("xrel_docs");
     ASSERT_NE(docs, nullptr);
     ASSERT_EQ(docs->row_count(), 1u);
@@ -261,7 +261,7 @@ TEST(Integrity, VerifyFlagsDuplicateDocRegistration) {
 
 TEST(Integrity, SalvageRepairQuarantinesBrokenDocument) {
     test::Stack stack(gen::paper_dtd());
-    ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+    ASSERT_TRUE(test::load_texts(stack, corpus(3)).ok());
     // Break doc 1's label interval.
     bool damaged = false;
     for (const auto& name : stack.db.table_names()) {
@@ -337,7 +337,7 @@ TEST(Integrity, SnapshotSalvageDropsDamagedSectionAndReports) {
     test::TempDir dir;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(4), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(4)).ok());
         stack.db.checkpoint();
     }
     std::string snap = rdb::snapshot_file(dir.path(), 1);
@@ -377,7 +377,7 @@ TEST(Integrity, MidSegmentWalCorruptionFailsStrictRecovery) {
     test::TempDir dir;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(4), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(4)).ok());
     }
     std::string wal = rdb::wal_file(dir.path(), 0);
     ASSERT_GT(fs::file_size(wal), 64u);
@@ -443,7 +443,7 @@ TEST(Integrity, FailedCheckpointVerificationLeavesOldChainAuthoritative) {
     std::vector<std::string> expected;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(2), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(2)).ok());
         expected = test::db_fingerprint(stack.db);
         ArmedFault armed("snapshot.verify");
         EXPECT_THROW(stack.db.checkpoint(), fault::InjectedFault);
@@ -472,7 +472,7 @@ TEST(Integrity, SnapshotFuzzStrictNeverCrashesOrMisreads) {
     std::vector<std::string> baseline;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(3)).ok());
         stack.db.checkpoint();
         baseline = test::db_fingerprint(stack.db);
     }
@@ -654,7 +654,7 @@ TEST(Integrity, SnapshotCheckerAgreesWithStrictReader) {
     std::vector<rdb::ForeignKeyDef> fks;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(3)).ok());
         stack.db.checkpoint();
         tables = image_of(stack.db);
         fks = stack.db.foreign_keys();
@@ -821,7 +821,7 @@ TEST(Integrity, CheckpointRejectsSemanticallyBadImages) {
         std::vector<std::string> expected;
         {
             test::DurableStack stack(gen::paper_dtd(), dir.path());
-            ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+            ASSERT_TRUE(test::load_texts(stack, corpus(3)).ok());
             expected = test::db_fingerprint(stack.db);
             std::vector<TableImage> tables = image_of(stack.db);
             std::string good = encode_image(tables, stack.db.foreign_keys());
@@ -866,7 +866,7 @@ TEST(Integrity, WalFuzzSalvageAlwaysYieldsVerifiablyCleanState) {
     test::TempDir dir;
     {
         test::DurableStack stack(gen::paper_dtd(), dir.path());
-        ASSERT_TRUE(stack.loader->load_texts(corpus(3), {}).ok());
+        ASSERT_TRUE(test::load_texts(stack, corpus(3)).ok());
     }
     std::string pristine = read_file(rdb::wal_file(dir.path(), 0));
     ASSERT_FALSE(pristine.empty());

@@ -119,7 +119,10 @@ TEST(StructIndex, BulkLoadMatchesSerialLabelsExactly) {
     for (auto& doc : corpus) texts.push_back(xml::serialize(*doc));
 
     Stack serial(gen::paper_dtd());
-    serial.loader->load_texts(texts, {});
+    for (const auto& text : texts) {
+        auto doc = xml::parse_document(text);
+        serial.loader->load(*doc);
+    }
 
     Stack bulk(gen::paper_dtd());
     loader::BulkLoader bulk_loader(bulk.logical, bulk.mapping, bulk.schema,
@@ -226,10 +229,9 @@ TEST(StructIndex, SkippedDocumentsLeaveHarmlessLabelGaps) {
                "\"><name><lastname>L" + i +
                "</lastname></name></author></article>";
     };
-    loader::LoadOptions opts;
-    opts.on_error = loader::FailurePolicy::kSkip;
-    loader::LoadReport report = stack.loader->load_texts(
-        {make(0), "<article><broken", make(1), "<nope/>", make(2)}, opts);
+    loader::LoadReport report = test::load_texts(
+        stack, {make(0), "<article><broken", make(1), "<nope/>", make(2)},
+        test::one_worker(loader::FailurePolicy::kSkip));
     EXPECT_EQ(report.loaded, 3u);
     EXPECT_EQ(report.failed, 2u);
 
@@ -241,7 +243,7 @@ TEST(StructIndex, SkippedDocumentsLeaveHarmlessLabelGaps) {
     EXPECT_EQ(sql::execute(stack.db, t.sql).scalar().as_integer(), 3);
 
     // A later load continues past the gaps without colliding.
-    ASSERT_NO_THROW(stack.loader->load_texts({make(3)}, {}));
+    ASSERT_NO_THROW(test::load_texts(stack, {make(3)}));
     expect_proper_nesting(collect_intervals(stack));
     EXPECT_EQ(
         sql::execute(stack.db,
@@ -265,9 +267,9 @@ TEST(StructIndex, LabelsAndOrderedIndexSurviveSnapshotAndWalReplay) {
         DurableStack stack(gen::paper_dtd(), dir.path());
         // Half the corpus into the snapshot, half into the WAL tail, so
         // recovery exercises both persistence paths.
-        stack.loader->load_texts({texts.begin(), texts.begin() + 3}, {});
+        test::load_texts(stack, {texts.begin(), texts.begin() + 3});
         stack.db.checkpoint();
-        stack.loader->load_texts({texts.begin() + 3, texts.end()}, {});
+        test::load_texts(stack, {texts.begin() + 3, texts.end()});
         before = collect_intervals(stack);
     }
     {
@@ -297,7 +299,7 @@ TEST(StructIndex, LabelsAndOrderedIndexSurviveSnapshotAndWalReplay) {
                                         .sql)
                            .scalar()
                            .as_integer();
-        stack.loader->load_texts({texts.front()}, {});
+        test::load_texts(stack, {texts.front()});
         expect_proper_nesting(collect_intervals(stack));
         EXPECT_GT(sql::execute(stack.db,
                                tr.translate(xquery::parse_query(

@@ -218,7 +218,7 @@ TEST(XmlParser, MaxChildrenEnforced) {
 }
 
 TEST(XmlParser, LoaderAppliesParseLimits) {
-    // LoadOptions::parse reaches the parser: a corpus whose documents
+    // BulkLoadOptions::parse reaches the parser: a corpus whose documents
     // exceed the configured depth fails document-scoped, not globally.
     test::Stack stack(gen::paper_dtd());
     std::string deep = "<article><title>";
@@ -226,10 +226,10 @@ TEST(XmlParser, LoaderAppliesParseLimits) {
     deep += "t";
     for (int i = 0; i < 6; ++i) deep += "</x>";
     deep += "</title></article>";
-    loader::LoadOptions options;
-    options.on_error = loader::FailurePolicy::kSkip;
+    loader::BulkLoadOptions options =
+        test::one_worker(loader::FailurePolicy::kSkip);
     options.parse.max_depth = 4;
-    loader::LoadReport report = stack.loader->load_texts({deep}, options);
+    loader::LoadReport report = test::load_texts(stack, {deep}, options);
     EXPECT_EQ(report.loaded, 0u);
     EXPECT_EQ(report.failed, 1u);
 }
